@@ -438,6 +438,38 @@ void BM_DefragPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_DefragPlan)->Unit(benchmark::kMillisecond);
 
+// One device's share of a packed fleet: a 24x24 device on the JTAG port
+// fed Poisson tasks with sides 2-10 at a quarter of the 4-device fleet's
+// 2 ms mean interarrival, so it runs near full and host time is placement
+// search in sched/area (free-space queries, the defrag planner and the
+// cheapest-move bound ahead of it). Cross-run gated by
+// check_perf_baseline.py.
+void BM_SchedulerPacked(benchmark::State& state) {
+  sched::WorkloadParams params;
+  params.pattern = sched::ArrivalPattern::kPoisson;
+  params.task_count = 500;
+  params.mean_interarrival_ms = 8.0;
+  params.min_side = 2;
+  params.max_side = 10;
+  params.seed = 1;
+  const auto tasks = sched::WorkloadGenerator(params).generate();
+  std::vector<sched::AppSpec> apps;
+  apps.reserve(tasks.size());
+  for (const auto& task : tasks)
+    apps.push_back(sched::AppSpec{task.fn.name, {task.fn}, task.arrival});
+  const auto geom = fabric::DeviceGeometry::tiny(24, 24);
+  const config::BoundaryScanPort port;
+  const reloc::RelocationCostModel cost(geom, port);
+  sched::Scheduler sched(24, 24, cost, sched::SchedulerConfig{});
+  for (auto _ : state) {
+    const auto stats = sched.run_apps(apps);
+    benchmark::DoNotOptimize(stats.makespan);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(apps.size()));
+}
+BENCHMARK(BM_SchedulerPacked)->Unit(benchmark::kMillisecond);
+
 /// google-benchmark 1.8.0 replaced Run::error_occurred with Run::skipped;
 /// these overloads pick whichever member the system library has.
 template <typename R>

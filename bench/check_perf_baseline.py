@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Perf-regression guard for the config-plane microbenchmarks.
+"""Perf-regression guard for the config-plane and placement-search
+microbenchmarks.
 
 Compares a freshly produced BENCH_microperf.json against the committed
 baseline (bench/baselines/microperf_baseline.json) and fails if any
 guarded benchmark — the config-plane hot-path families BM_ConfigApply,
-BM_DirtyPreview and BM_BatcherFlush — regressed by more than the allowed
-factor (default 2x, per the PR 5 acceptance gate).
+BM_DirtyPreview and BM_BatcherFlush, and BM_SchedulerPacked (one packed
+24x24 device's Scheduler::run_apps, where host time is placement search
+in sched/area) — regressed by more than the allowed factor (default 2x,
+per the PR 5 acceptance gate).
 
 Only metrics present in BOTH files are compared, so adding a new benchmark
 never trips the guard; removing a guarded metric from the current report
@@ -16,12 +19,12 @@ The baseline records absolute times measured on one reference machine. To
 keep the gate from tripping on machine-speed differences between that
 machine and CI runners, the comparison is normalized when possible: if
 both reports carry the REFERENCE_METRIC (BM_RoutingGraphBuildCold at
-XCV1000 — CPU-bound, structurally unrelated to the config-plane path,
+XCV1000 — CPU-bound, structurally unrelated to both guarded paths,
 measured in the same run), each guarded time is divided by the same run's
 reference time, and the *ratio of ratios* is gated — a uniformly slower
-machine cancels out, a config-plane regression does not. Without the
-reference the guard falls back to raw times, where the 2x factor must also
-absorb hardware variance.
+machine cancels out, a config-plane or placement regression does not.
+Without the reference the guard falls back to raw times, where the 2x
+factor must also absorb hardware variance.
 
 Two *within-run* gates guard the routing-skeleton bring-up contract
 (PR 9):
@@ -81,7 +84,7 @@ Missing any of the three kernel metrics or the flag fails the guard.
 If the guard fires without a plausible code cause, or after an intentional
 hot-path change, refresh the baseline:
 
-    ./build/bench_microperf --benchmark_filter='BM_ConfigApply|BM_DirtyPreview|BM_BatcherFlush|BM_TraceOverhead|BM_MetricsOverhead|BM_RoutingGraphBuild|BM_FabricAcquireCached'
+    ./build/bench_microperf --benchmark_filter='BM_ConfigApply|BM_DirtyPreview|BM_BatcherFlush|BM_TraceOverhead|BM_MetricsOverhead|BM_RoutingGraphBuild|BM_FabricAcquireCached|BM_SchedulerPacked'
     cp BENCH_microperf.json bench/baselines/microperf_baseline.json
 
 (the BM_ConfigApply filter already covers the BM_ConfigApplyKernel trio,
@@ -100,6 +103,7 @@ GUARDED_PREFIXES = (
     "BM_BatcherFlush",
     "BM_TraceOverhead",
     "BM_MetricsOverhead",
+    "BM_SchedulerPacked",
 )
 REFERENCE_METRIC = "BM_RoutingGraphBuildCold_8"
 
@@ -239,7 +243,7 @@ def main(argv):
     failed_kernel_gates = not check_kernel_gates(current)
 
     # The skeleton metrics are gated within-run above, not against the
-    # baseline — drop them so the cross-run loop only sees the config-plane
+    # baseline — drop them so the cross-run loop only sees the guarded
     # families (staging is deliberately slow; acquire is in different units).
     # KERNEL_SIMD is gated within-run only: its absolute time depends on
     # which variant the CPU dispatch picked, so comparing a scalar-fallback

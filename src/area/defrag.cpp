@@ -11,77 +11,65 @@ namespace {
 /// equal-gain tie-break. Shape-independent: callers decide when to stop.
 std::optional<Move> best_move(AreaManager& scratch, const DefragOptions& opt,
                               bool prefer_small_victims) {
-  std::optional<Move> best;
-  long best_gain = -1;
-  long best_dist = 0;
-  long best_area = 0;
+  // Candidate destinations: bottom-left and best-fit placements of each
+  // region's shape in the remaining free space (non-overlapping with its
+  // current rect, so plans execute move-by-move on the fabric). All are
+  // found before any trial move, so they share one free-space summary.
+  std::vector<Move> candidates;
   for (const Region& r : scratch.regions()) {
-    // Candidate destinations: bottom-left and best-fit placements of the
-    // region's shape in the remaining free space (non-overlapping with
-    // its current rect, so plans execute move-by-move on the fabric).
     for (PlacePolicy policy :
          {PlacePolicy::kBottomLeft, PlacePolicy::kBestFit}) {
       const auto dest =
           scratch.find_free_rect(r.rect.height, r.rect.width, policy);
       if (!dest || *dest == r.rect) continue;
-      // Score by trial move + rollback (cheaper than copying the whole
-      // manager per candidate; the rollback destination is the region's
-      // own just-vacated rect, so both moves are always legal).
-      scratch.move(r.id, *dest);
-      const long gain = scratch.largest_free_rect().area();
-      scratch.move(r.id, r.rect);
-      const long dist =
-          std::abs(dest->row - r.rect.row) + std::abs(dest->col - r.rect.col);
-      // Relocation cost grows with the moved area (one procedure per
-      // cell), so by default prefer small victims on equal gain; the
-      // alternate pass prefers large ones (sometimes the small-victim
-      // move blocks the only escape of a large region).
-      const long area_penalty = r.rect.area();
-      bool better = false;
-      if (!best) {
-        better = true;
-      } else if (gain != best_gain) {
-        better = gain > best_gain;
-      } else if (area_penalty != best_area) {
-        better = prefer_small_victims ? area_penalty < best_area
-                                      : area_penalty > best_area;
-      } else if (opt.prefer_near) {
-        better = dist < best_dist;
-      }
-      if (better) {
-        best = Move{r.id, r.rect, *dest};
-        best_gain = gain;
-        best_dist = dist;
-        best_area = area_penalty;
-      }
+      candidates.push_back(Move{r.id, r.rect, *dest});
+    }
+  }
+
+  std::optional<Move> best;
+  long best_gain = -1;
+  long best_dist = 0;
+  long best_area = 0;
+  for (const Move& c : candidates) {
+    // Score by trial move + rollback (cheaper than copying the whole
+    // manager per candidate; the rollback destination is the region's
+    // own just-vacated rect, so both moves are always legal).
+    scratch.move(c.region, c.to);
+    const long gain = scratch.largest_free_rect().area();
+    scratch.move(c.region, c.from);
+    const long dist =
+        std::abs(c.to.row - c.from.row) + std::abs(c.to.col - c.from.col);
+    // Relocation cost grows with the moved area (one procedure per
+    // cell), so by default prefer small victims on equal gain; the
+    // alternate pass prefers large ones (sometimes the small-victim
+    // move blocks the only escape of a large region).
+    const long area_penalty = c.from.area();
+    bool better = false;
+    if (!best) {
+      better = true;
+    } else if (gain != best_gain) {
+      better = gain > best_gain;
+    } else if (area_penalty != best_area) {
+      better = prefer_small_victims ? area_penalty < best_area
+                                    : area_penalty > best_area;
+    } else if (opt.prefer_near) {
+      better = dist < best_dist;
+    }
+    if (better) {
+      best = c;
+      best_gain = gain;
+      best_dist = dist;
+      best_area = area_penalty;
     }
   }
   return best;
-}
-
-/// profile[h-1] = widest w such that an all-free h x w rectangle exists.
-/// Maximal free rectangles via the shared sweep, then a suffix-max pass
-/// (a taller free rect contains every shorter one).
-std::vector<int> free_width_profile(const AreaManager& mgr) {
-  const int rows = mgr.rows();
-  std::vector<int> profile(static_cast<std::size_t>(rows), 0);
-  mgr.for_each_maximal_free_rect([&](const ClbRect& r) {
-    profile[static_cast<std::size_t>(r.height - 1)] =
-        std::max(profile[static_cast<std::size_t>(r.height - 1)], r.width);
-  });
-  for (int h = rows - 1; h >= 1; --h) {
-    profile[static_cast<std::size_t>(h - 1)] =
-        std::max(profile[static_cast<std::size_t>(h - 1)],
-                 profile[static_cast<std::size_t>(h)]);
-  }
-  return profile;
 }
 
 }  // namespace
 
 RequestPlanner::Sequence::Sequence(const AreaManager& mgr, bool prefer_small)
     : scratch(mgr), prefer_small_victims(prefer_small) {
-  fit.push_back(free_width_profile(scratch));
+  fit.push_back(scratch.free_width_profile());
 }
 
 RequestPlanner::RequestPlanner(const AreaManager& mgr, DefragOptions opt)
@@ -105,7 +93,7 @@ std::optional<DefragPlan> RequestPlanner::query(Sequence& seq, int h,
       }
       seq.scratch.move(mv->region, mv->to);
       seq.moves.push_back(*mv);
-      seq.fit.push_back(free_width_profile(seq.scratch));
+      seq.fit.push_back(seq.scratch.free_width_profile());
     }
     if (seq.fit[k][static_cast<std::size_t>(h - 1)] >= w) break;
     ++k;

@@ -84,42 +84,15 @@ class AreaManager {
   double utilization() const {
     return static_cast<double>(used_clbs()) / total_clbs();
   }
-  /// Largest rectangle of entirely free CLBs.
-  ClbRect largest_free_rect() const;
-
-  /// Invokes fn(ClbRect) for every maximal-in-histogram rectangle of
-  /// entirely free CLBs (row-wise histogram sweep with a stack; every
-  /// maximal free rectangle of the grid is among the visited ones).
-  /// Shared by largest_free_rect and the defrag planner's fit profiles so
-  /// the subtle sweep lives in one place.
-  template <typename Fn>
-  void for_each_maximal_free_rect(Fn&& fn) const {
-    std::vector<int> height(static_cast<std::size_t>(cols_), 0);
-    std::vector<int> stack;
-    for (int row = 0; row < rows_; ++row) {
-      for (int col = 0; col < cols_; ++col) {
-        const bool free =
-            grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
-        height[static_cast<std::size_t>(col)] =
-            free ? height[static_cast<std::size_t>(col)] + 1 : 0;
-      }
-      stack.clear();
-      for (int col = 0; col <= cols_; ++col) {
-        const int h = col < cols_ ? height[static_cast<std::size_t>(col)] : 0;
-        while (!stack.empty() &&
-               height[static_cast<std::size_t>(stack.back())] > h) {
-          const int top = stack.back();
-          stack.pop_back();
-          const int hh = height[static_cast<std::size_t>(top)];
-          const int left = stack.empty() ? 0 : stack.back() + 1;
-          const int ww = col - left;
-          fn(ClbRect{row - hh + 1, left, hh, ww});
-        }
-        // Zero-height columns stay on the stack as barriers; otherwise a
-        // later pop would wrongly extend across the gap.
-        if (col < cols_) stack.push_back(col);
-      }
-    }
+  /// Largest rectangle of entirely free CLBs; among equal areas the one
+  /// with the smallest bottom edge, then the smallest right edge, then the
+  /// taller one.
+  ClbRect largest_free_rect() const { return summary().largest; }
+  /// profile[h-1] = widest w such that an all-free h x w rectangle exists
+  /// (0 if none); nonincreasing in h. A request h x w fits iff
+  /// profile[h-1] >= w.
+  const std::vector<int>& free_width_profile() const {
+    return summary().profile;
   }
   /// 1 - largest_free_rect.area / free_clbs (0 when free space is one
   /// rectangle; -> 1 as it shatters). 0 when no free space.
@@ -138,13 +111,28 @@ class AreaManager {
   // ---- invariant audit (DESIGN.md §8.4) -------------------------------------
   /// Cross-checks the occupancy ledger against the region table from
   /// scratch: every region's rectangle is exactly its grid footprint, every
-  /// grid cell's occupant exists, and the incremental free/masked counters
-  /// match a full recount. Throws AuditError naming the first divergence.
+  /// grid cell's occupant exists, the incremental free/masked counters
+  /// match a full recount, and a valid free-space summary equals a fresh
+  /// sweep. Throws AuditError naming the first divergence.
   /// Always compiled (tests call it directly); the periodic call sites at
   /// sweep boundaries are gated on RELOGIC_AUDIT.
   void audit() const;
 
  private:
+  /// What one sweep over the maximal free rectangles tells about the free
+  /// space (DESIGN.md §10.1).
+  struct FreeSummary {
+    ClbRect largest{0, 0, 0, 0};
+    std::vector<int> profile;  ///< see free_width_profile()
+  };
+
+  /// The cached summary, re-swept after any occupancy change. Filling it
+  /// from const methods is why an AreaManager is thread-confined
+  /// (DESIGN.md §10.1): concurrent const calls on one instance would race.
+  const FreeSummary& summary() const;
+  void sweep_summary(FreeSummary& out) const;
+  /// Every occupancy write goes through fill() or mask_faulty(); both
+  /// invalidate the summary.
   void fill(const ClbRect& r, RegionId id);
   bool rect_free(const ClbRect& r) const;
 
@@ -155,6 +143,8 @@ class AreaManager {
   RegionId next_id_ = 1;
   int free_clbs_;
   int masked_clbs_ = 0;
+  mutable FreeSummary summary_;
+  mutable bool summary_valid_ = false;
 };
 
 }  // namespace relogic::area

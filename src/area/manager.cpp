@@ -30,6 +30,7 @@ bool AreaManager::rect_free(const ClbRect& r) const {
 }
 
 void AreaManager::fill(const ClbRect& r, RegionId id) {
+  summary_valid_ = false;
   for (int row = r.row; row < r.row_end(); ++row) {
     const std::size_t base = static_cast<std::size_t>(row) * cols_;
     for (int col = r.col; col < r.col_end(); ++col) {
@@ -46,6 +47,7 @@ void AreaManager::mask_faulty(ClbCoord c) {
                     "cannot mask " + c.to_string() +
                         ": CLB currently hosts a region");
   slot = kFaultyRegion;
+  summary_valid_ = false;
   --free_clbs_;
   ++masked_clbs_;
 }
@@ -55,6 +57,9 @@ std::optional<ClbRect> AreaManager::find_free_rect(int h, int w,
                                                    const ClbRect* avoid) const {
   RELOGIC_CHECK(h >= 1 && w >= 1);
   if (h > rows_ || w > cols_) return std::nullopt;
+  // No free h x w rect anywhere, so none for either policy or any avoid.
+  if (free_width_profile()[static_cast<std::size_t>(h - 1)] < w)
+    return std::nullopt;
 
   // Per-cell count of consecutive free cells downward (for fast checks).
   std::vector<int> down(grid_.size(), 0);
@@ -185,12 +190,55 @@ std::vector<Region> AreaManager::regions() const {
   return out;
 }
 
-ClbRect AreaManager::largest_free_rect() const {
-  ClbRect best{0, 0, 0, 0};
-  for_each_maximal_free_rect([&](const ClbRect& r) {
-    if (r.area() > best.area()) best = r;
-  });
-  return best;
+const AreaManager::FreeSummary& AreaManager::summary() const {
+  if (!summary_valid_) {
+    sweep_summary(summary_);
+    summary_valid_ = true;
+  }
+  return summary_;
+}
+
+void AreaManager::sweep_summary(FreeSummary& out) const {
+  out.largest = ClbRect{0, 0, 0, 0};
+  out.profile.assign(static_cast<std::size_t>(rows_), 0);
+  auto visit = [&](const ClbRect& r) {
+    if (r.area() > out.largest.area()) out.largest = r;
+    int& widest = out.profile[static_cast<std::size_t>(r.height - 1)];
+    widest = std::max(widest, r.width);
+  };
+  // Row-wise histogram sweep with a stack: every maximal free rectangle of
+  // the grid is among the visited ones.
+  std::vector<int> height(static_cast<std::size_t>(cols_), 0);
+  std::vector<int> stack;
+  for (int row = 0; row < rows_; ++row) {
+    for (int col = 0; col < cols_; ++col) {
+      const bool free =
+          grid_[static_cast<std::size_t>(row) * cols_ + col] == kNoRegion;
+      height[static_cast<std::size_t>(col)] =
+          free ? height[static_cast<std::size_t>(col)] + 1 : 0;
+    }
+    stack.clear();
+    for (int col = 0; col <= cols_; ++col) {
+      const int h = col < cols_ ? height[static_cast<std::size_t>(col)] : 0;
+      while (!stack.empty() &&
+             height[static_cast<std::size_t>(stack.back())] > h) {
+        const int top = stack.back();
+        stack.pop_back();
+        const int hh = height[static_cast<std::size_t>(top)];
+        const int left = stack.empty() ? 0 : stack.back() + 1;
+        visit(ClbRect{row - hh + 1, left, hh, col - left});
+      }
+      // Zero-height columns stay on the stack as barriers; otherwise a
+      // later pop would wrongly extend across the gap.
+      if (col < cols_) stack.push_back(col);
+    }
+  }
+  // A taller free rect contains every shorter one of the same width.
+  for (int h = rows_ - 1; h >= 1; --h) {
+    out.profile[static_cast<std::size_t>(h - 1)] =
+        std::max(out.profile[static_cast<std::size_t>(h - 1)],
+                 out.profile[static_cast<std::size_t>(h)]);
+  }
 }
 
 std::string AreaManager::to_ascii() const {
@@ -278,6 +326,20 @@ void AreaManager::audit() const {
   RELOGIC_AUDIT_CHECK(masked_clbs_ == masked_count, kWhere,
                       "masked_clbs counter " + std::to_string(masked_clbs_) +
                           " != recounted " + std::to_string(masked_count));
+
+  // Pass 3: a cached free-space summary must equal a fresh sweep of the
+  // grid (a missed invalidation shows up here).
+  if (summary_valid_) {
+    FreeSummary fresh;
+    sweep_summary(fresh);
+    RELOGIC_AUDIT_CHECK(fresh.largest == summary_.largest, kWhere,
+                        "cached largest free rect " +
+                            summary_.largest.to_string() + " != swept " +
+                            fresh.largest.to_string());
+    RELOGIC_AUDIT_CHECK(fresh.profile == summary_.profile, kWhere,
+                        "cached free-width profile differs from a fresh "
+                        "sweep");
+  }
 }
 
 }  // namespace relogic::area

@@ -77,6 +77,8 @@ struct Job {
   bool rejected = false;
   bool placed = false;
   int end_version = 0;
+  /// Port time to relocate this job, priced once when it is placed.
+  SimTime move_cost = SimTime::zero();
 };
 
 enum class EvKind { kReady, kConfigDone, kRunBegin, kEnd, kSweepStep,
@@ -253,7 +255,7 @@ class Engine {
     // window's claim regions are immovable (they are not tasks): planning
     // waits for the test to finish; retry_waiting() runs at sweep-done.
     if (!slot && cfg_->policy != ManagementPolicy::kNoRearrange &&
-        !sweep_testing_) {
+        !sweep_testing_ && cheapest_move_affordable(job)) {
       const auto plan = plan_request(job.fn.height, job.fn.width);
       if (plan && plan_affordable(*plan, job)) {
         if (tr_.sched)
@@ -274,6 +276,8 @@ class Engine {
     ++area_gen_;
     job.slot = *slot;
     job.placed = true;
+    job.move_cost = cost_->function_time(job.fn.cells(), job.fn.reg,
+                                         job.fn.gated_clock);
     ++placed_live_;
     region_job_[job.region] = job.id;
 
@@ -432,9 +436,12 @@ class Engine {
   SimTime move_cost(const area::Move& mv) const {
     auto it = region_job_.find(mv.region);
     RELOGIC_CHECK_MSG(it != region_job_.end(), "plan moves an unknown region");
-    const Job& victim = jobs[static_cast<std::size_t>(it->second)];
-    return cost_->function_time(victim.fn.cells(), victim.fn.reg,
-                                victim.fn.gated_clock);
+    return jobs[static_cast<std::size_t>(it->second)].move_cost;
+  }
+
+  /// Port time the requesting job may spend on rearrangement.
+  double move_budget_ms(const Job& job) const {
+    return job.fn.duration.milliseconds() * cfg_->max_move_cost_fraction;
   }
 
   /// Cost gate: rearranging must not cost more port time than a fraction
@@ -444,9 +451,22 @@ class Engine {
     if (cfg_->max_move_cost_fraction <= 0) return true;
     SimTime total = SimTime::zero();
     for (const auto& mv : plan.moves) total += move_cost(mv);
-    const double budget_ms =
-        job.fn.duration.milliseconds() * cfg_->max_move_cost_fraction;
-    return total.milliseconds() <= budget_ms;
+    return total.milliseconds() <= move_budget_ms(job);
+  }
+
+  /// The cost gate's bound, checked before planning (DESIGN.md §10.2).
+  /// Once find_free_rect has failed, every plan either planner returns
+  /// moves at least one live job region: outside sweep_testing_ there are
+  /// no sweep regions, and masked CLBs are not regions. So no plan costs
+  /// less than the cheapest live move, and when that alone exceeds the
+  /// budget plan_affordable would reject every plan.
+  bool cheapest_move_affordable(const Job& job) const {
+    if (cfg_->max_move_cost_fraction <= 0) return true;
+    SimTime cheapest = SimTime::never();
+    for (const auto& [region, id] : region_job_)
+      cheapest =
+          std::min(cheapest, jobs[static_cast<std::size_t>(id)].move_cost);
+    return cheapest.milliseconds() <= move_budget_ms(job);
   }
 
   /// One relocation, shared by on-demand rearrangement and the self-test

@@ -1,7 +1,9 @@
 // Unit tests: relogic::sched (workloads, policies, event engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "relogic/config/port.hpp"
 #include "relogic/reloc/cost.hpp"
@@ -313,6 +315,76 @@ TEST(Scheduler, UtilizationBoundedAndPositive) {
   EXPECT_LE(stats.utilization_avg, 1.0);
   EXPECT_GE(stats.fragmentation_avg, 0.0);
   EXPECT_LE(stats.fragmentation_max, 1.0);
+}
+
+// ---- cheapest-move bound ----------------------------------------------------
+// A 4x9 device holds B (4x3, cols 0-2), L (4x2, cols 3-4) and V (4x2,
+// cols 5-6). L leaves early, so the 4x4 request R finds its 16 free CLBs
+// split across cols 3-4 and 7-8, and one move, V's, makes room. B is a
+// costlier bystander that no plan moves. R's move budget is its duration
+// times max_move_cost_fraction; the scheduler skips planning when even the
+// cheapest live move exceeds it.
+
+FunctionSpec bound_fn(const std::string& name, int width, SimTime duration) {
+  FunctionSpec fn;
+  fn.name = name;
+  fn.height = 4;
+  fn.width = width;
+  fn.duration = duration;
+  return fn;
+}
+
+SimTime victim_move_cost() {
+  const FunctionSpec v = bound_fn("V", 2, SimTime::ms(100));
+  return fast_cost().function_time(v.cells(), v.reg, v.gated_clock);
+}
+
+RunStats run_bound_case(SimTime request_duration, double fraction) {
+  SchedulerConfig cfg;
+  cfg.max_move_cost_fraction = fraction;
+  Scheduler sched(4, 9, fast_cost(), cfg);
+  return sched.run_tasks(
+      {{bound_fn("B", 3, SimTime::ms(100)), SimTime::zero()},
+       {bound_fn("L", 2, SimTime::ms(1)), SimTime::zero()},
+       {bound_fn("V", 2, SimTime::ms(100)), SimTime::zero()},
+       {bound_fn("R", 4, request_duration), SimTime::ms(20)}});
+}
+
+TEST(CheapestMoveBound, BystanderCostsMoreThanVictim) {
+  const FunctionSpec b = bound_fn("B", 3, SimTime::ms(100));
+  EXPECT_GT(fast_cost().function_time(b.cells(), b.reg, b.gated_clock),
+            victim_move_cost());
+}
+
+TEST(CheapestMoveBound, CostEqualToBudgetStillPlans) {
+  // plan_affordable accepts cost == budget, so the bound must too.
+  const SimTime cost = victim_move_cost();
+  const auto stats = run_bound_case(cost, 1.0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.rearrangement_moves, 1);
+  ASSERT_EQ(stats.move_times.size(), 1u);
+  EXPECT_EQ(stats.move_times[0], cost);
+  // R runs while V and B are still resident.
+  EXPECT_LT(stats.tasks[3].run_start, stats.tasks[2].finish);
+}
+
+TEST(CheapestMoveBound, CostOneStepAboveBudgetWaits) {
+  const SimTime cost = victim_move_cost();
+  const auto stats = run_bound_case(cost - SimTime::ps(1), 1.0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.rearrangement_moves, 0);
+  // R waits for a departure instead.
+  EXPECT_GE(stats.tasks[3].run_start,
+            std::min(stats.tasks[0].finish, stats.tasks[2].finish));
+}
+
+TEST(CheapestMoveBound, ZeroFractionDisablesTheBound) {
+  // The same over-budget request as above: with the cost gate off, the
+  // bound must not stop planning either.
+  const auto stats = run_bound_case(victim_move_cost() - SimTime::ps(1), 0.0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.rearrangement_moves, 1);
+  EXPECT_LT(stats.tasks[3].run_start, stats.tasks[2].finish);
 }
 
 }  // namespace
