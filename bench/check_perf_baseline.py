@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Perf-regression guard for the config-plane and placement-search
-microbenchmarks.
+"""Perf-regression guard for the config-plane, placement-search and
+event-simulation microbenchmarks.
 
 Compares a freshly produced BENCH_microperf.json against the committed
 baseline (bench/baselines/microperf_baseline.json) and fails if any
 guarded benchmark — the config-plane hot-path families BM_ConfigApply,
-BM_DirtyPreview and BM_BatcherFlush, and BM_SchedulerPacked (one packed
+BM_DirtyPreview and BM_BatcherFlush, BM_SchedulerPacked (one packed
 24x24 device's Scheduler::run_apps, where host time is placement search
-in sched/area) — regressed by more than the allowed factor (default 2x,
-per the PR 5 acceptance gate).
+in sched/area), and the sim layer's BM_SimulatorCycles (clocking a
+random FSM on a 16x16 device) and BM_GatedCellRelocation (one live
+gated-clock cell relocation, engine plus simulator) — regressed by more
+than the allowed factor (default 2x, per the PR 5 acceptance gate).
 
 Only metrics present in BOTH files are compared, so adding a new benchmark
 never trips the guard; removing a guarded metric from the current report
@@ -84,7 +86,7 @@ Missing any of the three kernel metrics or the flag fails the guard.
 If the guard fires without a plausible code cause, or after an intentional
 hot-path change, refresh the baseline:
 
-    ./build/bench_microperf --benchmark_filter='BM_ConfigApply|BM_DirtyPreview|BM_BatcherFlush|BM_TraceOverhead|BM_MetricsOverhead|BM_RoutingGraphBuild|BM_FabricAcquireCached|BM_SchedulerPacked'
+    ./build/bench_microperf --benchmark_filter='BM_ConfigApply|BM_DirtyPreview|BM_BatcherFlush|BM_TraceOverhead|BM_MetricsOverhead|BM_RoutingGraphBuild|BM_FabricAcquireCached|BM_SchedulerPacked|BM_SimulatorCycles|BM_GatedCellRelocation'
     cp BENCH_microperf.json bench/baselines/microperf_baseline.json
 
 (the BM_ConfigApply filter already covers the BM_ConfigApplyKernel trio,
@@ -104,6 +106,8 @@ GUARDED_PREFIXES = (
     "BM_TraceOverhead",
     "BM_MetricsOverhead",
     "BM_SchedulerPacked",
+    "BM_SimulatorCycles",
+    "BM_GatedCellRelocation",
 )
 REFERENCE_METRIC = "BM_RoutingGraphBuildCold_8"
 

@@ -98,6 +98,11 @@ class FabricSim final : public fabric::FabricListener {
 
   std::int64_t events_processed() const { return events_processed_; }
 
+  /// Recomputes the flip-flop site index and the paralleled-net index by a
+  /// full scan and throws AuditError naming the first divergence
+  /// (DESIGN.md §11). Called at the end of run_until when audit_enabled().
+  void audit() const;
+
   // ---- FabricListener --------------------------------------------------------
   void on_cell_changed(ClbCoord clb, int cell,
                        const fabric::LogicCellConfig& before,
@@ -156,9 +161,14 @@ class FabricSim final : public fabric::FabricListener {
   std::vector<bool> q_val_;
 
   std::unordered_map<fabric::NodeId, bool> pad_val_;
-  std::unordered_map<fabric::NodeId, bool> pad_driven_;  // externally driven
 
   std::vector<NetCache> net_cache_;  // by net id
+  // Maintained indexes (DESIGN.md §11), both sorted ascending: the sites
+  // whose stored config is a used kFF cell, in the row -> column -> cell
+  // order a full-device scan visits them, and the nets whose cached
+  // sources number two or more.
+  std::vector<int> ff_sites_;
+  std::vector<fabric::NetId> multi_src_nets_;
   std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pin_;
 
   std::vector<ClockSpec> clocks_;

@@ -1,8 +1,10 @@
 #include "relogic/sim/simulator.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
+#include "relogic/common/audit.hpp"
 #include "relogic/common/logging.hpp"
 
 namespace relogic::sim {
@@ -10,6 +12,39 @@ namespace relogic::sim {
 using fabric::NetId;
 using fabric::NodeId;
 using fabric::NodeKind;
+
+namespace {
+
+bool is_ff(const fabric::LogicCellConfig& cfg) {
+  return cfg.used && cfg.reg == fabric::RegMode::kFF;
+}
+
+/// Makes `v`'s membership in a sorted index equal `member`.
+template <typename T>
+void set_member(std::vector<T>& index, T v, bool member) {
+  const auto it = std::lower_bound(index.begin(), index.end(), v);
+  const bool present = it != index.end() && *it == v;
+  if (member && !present) {
+    index.insert(it, v);
+  } else if (!member && present) {
+    index.erase(it);
+  }
+}
+
+/// First divergence of a maintained sorted index from its recompute, or
+/// an empty string when they agree.
+template <typename T>
+std::string index_divergence(const std::vector<T>& kept,
+                             const std::vector<T>& fresh) {
+  const auto [k, f] =
+      std::mismatch(kept.begin(), kept.end(), fresh.begin(), fresh.end());
+  if (k == kept.end() && f == fresh.end()) return {};
+  if (k == kept.end() || (f != fresh.end() && *f < *k))
+    return std::to_string(*f) + " missing";
+  return std::to_string(*k) + " stale";
+}
+
+}  // namespace
 
 FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
     : fabric_(&fabric), dm_(&dm) {
@@ -30,6 +65,7 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         const auto& cfg = fabric_->cell(clb, k);
         if (!cfg.used) continue;
         const int site = site_index(clb, k);
+        if (is_ff(cfg)) ff_sites_.push_back(site);
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
         schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
                        fabric::kInvalidNode, site, false, 0});
@@ -97,7 +133,6 @@ SimTime FabricSim::next_edge(std::uint8_t domain, SimTime from) const {
 
 void FabricSim::drive_pad(NodeId pad, bool value) {
   RELOGIC_CHECK(fabric_->graph().info(pad).kind == NodeKind::kPad);
-  pad_driven_[pad] = true;
   auto it = pad_val_.find(pad);
   if (it != pad_val_.end() && it->second == value) return;
   pad_val_[pad] = value;
@@ -120,6 +155,7 @@ void FabricSim::run_until(SimTime t) {
     ++events_processed_;
   }
   now_ = t;
+  if constexpr (relogic::audit_enabled()) audit();
 }
 
 void FabricSim::run_cycles(int n, std::uint8_t domain) {
@@ -301,28 +337,20 @@ void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
   monitor_.on_clock_edge(t);
   check_drive_coherence();
 
-  const auto& geom = fabric_->geometry();
-  for (int r = 0; r < geom.clb_rows; ++r) {
-    for (int c = 0; c < geom.clb_cols; ++c) {
-      const ClbCoord clb{r, c};
-      if (fabric_->clb_free(clb)) continue;
-      for (int k = 0; k < geom.cells_per_clb; ++k) {
-        const auto& cfg = fabric_->cell(clb, k);
-        if (!cfg.used || cfg.reg != fabric::RegMode::kFF ||
-            cfg.clock_domain != domain)
-          continue;
-        const int site = site_index(clb, k);
-        const bool ce =
-            !cfg.uses_ce || pin_val_[static_cast<std::size_t>(site)][4];
-        if (!ce) continue;
-        const bool d = cfg.d_src == fabric::DSrc::kBypass
-                           ? pin_val_[static_cast<std::size_t>(site)][5]
-                           : x_val_[static_cast<std::size_t>(site)];
-        if (d != q_val_[static_cast<std::size_t>(site)]) {
-          schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
-                         fabric::kInvalidNode, site, d, 0});
-        }
-      }
+  // Ascending site order is the row -> column -> cell order of a full
+  // device scan, so captures get the same sequence numbers.
+  for (const int site : ff_sites_) {
+    const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+    if (cfg.clock_domain != domain) continue;
+    const bool ce =
+        !cfg.uses_ce || pin_val_[static_cast<std::size_t>(site)][4];
+    if (!ce) continue;
+    const bool d = cfg.d_src == fabric::DSrc::kBypass
+                       ? pin_val_[static_cast<std::size_t>(site)][5]
+                       : x_val_[static_cast<std::size_t>(site)];
+    if (d != q_val_[static_cast<std::size_t>(site)]) {
+      schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
+                     fabric::kInvalidNode, site, d, 0});
     }
   }
 
@@ -361,10 +389,14 @@ void FabricSim::rebuild_net_cache(NetId net) {
     if (it != nets_of_pin_.end()) std::erase(it->second, net);
   }
   cache = NetCache{};
-  if (!fabric_->net_exists(net)) return;
+  if (!fabric_->net_exists(net)) {
+    set_member(multi_src_nets_, net, false);
+    return;
+  }
 
   const auto& tree = fabric_->net(net);
   cache.sources = tree.sources;
+  set_member(multi_src_nets_, net, cache.sources.size() >= 2);
   for (NodeId s : cache.sources) nets_of_pin_[s].push_back(net);
 
   // Forward traversal from sources accumulating the max delay per node;
@@ -411,6 +443,7 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
                                 const fabric::LogicCellConfig& before,
                                 const fabric::LogicCellConfig& after) {
   const int site = site_index(clb, cell);
+  set_member(ff_sites_, site, is_ff(after));
   if (!before.used && after.used) {
     q_val_[static_cast<std::size_t>(site)] = after.init;
     // Refresh inputs: routed pins read their net's current value; unrouted
@@ -448,10 +481,9 @@ void FabricSim::on_net_changed(NetId net) {
 }
 
 void FabricSim::check_drive_coherence() {
-  for (NetId net = 1; net < net_cache_.size(); ++net) {
+  for (const NetId net : multi_src_nets_) {
     if (!fabric_->net_exists(net)) continue;
     const NetCache& cache = net_cache_[net];
-    if (cache.sources.size() < 2) continue;
     const bool v0 = source_pin_value(cache.sources.front());
     for (std::size_t i = 1; i < cache.sources.size(); ++i) {
       if (source_pin_value(cache.sources[i]) != v0) {
@@ -463,6 +495,32 @@ void FabricSim::check_drive_coherence() {
       }
     }
   }
+}
+
+void FabricSim::audit() const {
+  constexpr const char* kWhere = "FabricSim";
+  const auto& geom = fabric_->geometry();
+  std::vector<int> ff;
+  for (int r = 0; r < geom.clb_rows; ++r) {
+    for (int c = 0; c < geom.clb_cols; ++c) {
+      for (int k = 0; k < geom.cells_per_clb; ++k) {
+        if (is_ff(fabric_->cell(ClbCoord{r, c}, k)))
+          ff.push_back(site_index(ClbCoord{r, c}, k));
+      }
+    }
+  }
+  const std::string ff_diff = index_divergence(ff_sites_, ff);
+  RELOGIC_AUDIT_CHECK(ff_diff.empty(), kWhere,
+                      "flip-flop site index: site " + ff_diff);
+
+  std::vector<NetId> multi;
+  for (NetId net = 1; net < net_cache_.size(); ++net) {
+    if (fabric_->net_exists(net) && net_cache_[net].sources.size() >= 2)
+      multi.push_back(net);
+  }
+  const std::string net_diff = index_divergence(multi_src_nets_, multi);
+  RELOGIC_AUDIT_CHECK(net_diff.empty(), kWhere,
+                      "paralleled-net index: net " + net_diff);
 }
 
 }  // namespace relogic::sim

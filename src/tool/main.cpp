@@ -15,6 +15,7 @@
 //   relogic-cli --load b02@1,1 --relocate 2,2.0:9,9.0 --out patch.bit
 //   relogic-cli --load b01@2,2 --load b06@2,10 --defrag 8x8 --script
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +25,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "relogic/area/defrag.hpp"
@@ -195,17 +198,38 @@ struct Options {
   std::exit(code);
 }
 
-ClbCoord parse_coord(const std::string& s) {
-  const auto comma = s.find(',');
-  RELOGIC_CHECK_MSG(comma != std::string::npos, "bad coordinate: " + s);
-  return ClbCoord{std::stoi(s.substr(0, comma)), std::stoi(s.substr(comma + 1))};
+/// Parses a whole token as a T: an empty token, trailing characters or an
+/// out-of-range value is an error naming the flag, e.g.
+/// "--fleet: expected an integer, got '3x'".
+template <typename T>
+T parse_number(const std::string& flag, const std::string& token) {
+  T value{};
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || ptr != end) {
+    const char* what = std::is_floating_point_v<T> ? "a number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    throw ContractError(flag + ": expected " + what + ", got '" + token +
+                        (ec == std::errc::result_out_of_range
+                             ? "' (out of range)"
+                             : "'"));
+  }
+  return value;
 }
 
-place::CellSite parse_site(const std::string& s) {
+ClbCoord parse_coord(const std::string& flag, const std::string& s) {
+  const auto comma = s.find(',');
+  RELOGIC_CHECK_MSG(comma != std::string::npos, "bad coordinate: " + s);
+  return ClbCoord{parse_number<int>(flag, s.substr(0, comma)),
+                  parse_number<int>(flag, s.substr(comma + 1))};
+}
+
+place::CellSite parse_site(const std::string& flag, const std::string& s) {
   const auto dot = s.rfind('.');
   RELOGIC_CHECK_MSG(dot != std::string::npos, "bad cell site: " + s);
-  return place::CellSite{parse_coord(s.substr(0, dot)),
-                         std::stoi(s.substr(dot + 1))};
+  return place::CellSite{parse_coord(flag, s.substr(0, dot)),
+                         parse_number<int>(flag, s.substr(dot + 1))};
 }
 
 fabric::DeviceGeometry parse_device(const std::string& name) {
@@ -235,11 +259,11 @@ netlist::Netlist make_circuit(const std::string& name, bool gated) {
   if (name == "b10c") return random_fsm("b10c", 17, 11, 6, 0xB10, style);
   if (name == "b13c") return random_fsm("b13c", 53, 10, 10, 0xB13, style);
   if (name.rfind("counter", 0) == 0)
-    return counter(std::stoi(name.substr(7)), style);
+    return counter(parse_number<int>("--load", name.substr(7)), style);
   if (name.rfind("shift", 0) == 0)
-    return shift_register(std::stoi(name.substr(5)), style);
+    return shift_register(parse_number<int>("--load", name.substr(5)), style);
   if (name.rfind("gray", 0) == 0)
-    return gray_counter(std::stoi(name.substr(4)), style);
+    return gray_counter(parse_number<int>("--load", name.substr(4)), style);
   throw ContractError("unknown circuit: " + name);
 }
 
@@ -258,31 +282,31 @@ Options parse_args(int argc, char** argv) {
       const std::string v = need(i);
       const auto at = v.find('@');
       RELOGIC_CHECK_MSG(at != std::string::npos, "--load CIRCUIT@r,c");
-      opt.loads.emplace_back(v.substr(0, at), parse_coord(v.substr(at + 1)));
+      opt.loads.emplace_back(v.substr(0, at), parse_coord(arg, v.substr(at + 1)));
     } else if (arg == "--move") {
       const std::string v = need(i);
       const auto colon = v.find(':');
       RELOGIC_CHECK_MSG(colon != std::string::npos, "--move NAME:r,c");
       opt.moves.emplace_back(v.substr(0, colon),
-                             parse_coord(v.substr(colon + 1)));
+                             parse_coord(arg, v.substr(colon + 1)));
     } else if (arg == "--relocate") {
       const std::string v = need(i);
       const auto colon = v.find(':');
       RELOGIC_CHECK_MSG(colon != std::string::npos,
                         "--relocate r,c.k:r,c.k");
-      opt.cell_moves.emplace_back(parse_site(v.substr(0, colon)),
-                                  parse_site(v.substr(colon + 1)));
+      opt.cell_moves.emplace_back(parse_site(arg, v.substr(0, colon)),
+                                  parse_site(arg, v.substr(colon + 1)));
     } else if (arg == "--defrag") {
       const std::string v = need(i);
       const auto x = v.find('x');
       RELOGIC_CHECK_MSG(x != std::string::npos, "--defrag HxW");
-      opt.defrag_request = {std::stoi(v.substr(0, x)),
-                            std::stoi(v.substr(x + 1))};
+      opt.defrag_request = {parse_number<int>(arg, v.substr(0, x)),
+                            parse_number<int>(arg, v.substr(x + 1))};
     } else if (arg == "--fleet") {
-      opt.fleet = std::stoi(need(i));
+      opt.fleet = parse_number<int>(arg, need(i));
       RELOGIC_CHECK_MSG(opt.fleet >= 1, "--fleet needs at least 1 device");
     } else if (arg == "--random-tasks") {
-      opt.random_tasks = std::stoi(need(i));
+      opt.random_tasks = parse_number<int>(arg, need(i));
     } else if (arg == "--workload") {
       const std::string v = need(i);
       const auto p = sched::parse_arrival_pattern(v);
@@ -294,13 +318,13 @@ Options parse_args(int argc, char** argv) {
       RELOGIC_CHECK_MSG(m.has_value(), "unknown admission mode: " + v);
       opt.fleet_cfg.admission = *m;
     } else if (arg == "--rebalance") {
-      opt.fleet_cfg.rebalance_backlog_ms = std::stod(need(i));
+      opt.fleet_cfg.rebalance_backlog_ms = parse_number<double>(arg, need(i));
     } else if (arg == "--grid") {
       const std::string v = need(i);
       const auto x = v.find('x');
       RELOGIC_CHECK_MSG(x != std::string::npos, "--grid RxC");
-      opt.fleet_cfg.rows = std::stoi(v.substr(0, x));
-      opt.fleet_cfg.cols = std::stoi(v.substr(x + 1));
+      opt.fleet_cfg.rows = parse_number<int>(arg, v.substr(0, x));
+      opt.fleet_cfg.cols = parse_number<int>(arg, v.substr(x + 1));
     } else if (arg == "--dispatch") {
       const std::string v = need(i);
       const auto p = runtime::parse_dispatch_policy(v);
@@ -318,15 +342,15 @@ Options parse_args(int argc, char** argv) {
         throw ContractError("unknown management policy: " + v);
       }
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(need(i));
+      opt.seed = parse_number<std::uint64_t>(arg, need(i));
     } else if (arg == "--mean-interarrival") {
-      opt.mean_interarrival_ms = std::stod(need(i));
+      opt.mean_interarrival_ms = parse_number<double>(arg, need(i));
     } else if (arg == "--mean-duration") {
-      opt.mean_duration_ms = std::stod(need(i));
+      opt.mean_duration_ms = parse_number<double>(arg, need(i));
     } else if (arg == "--no-batch") {
       opt.fleet_cfg.batch_config = false;
     } else if (arg == "--batch-ops") {
-      opt.fleet_cfg.batch.max_ops = std::stoi(need(i));
+      opt.fleet_cfg.batch.max_ops = parse_number<int>(arg, need(i));
     } else if (arg == "--selectmap") {
       opt.port = config::PortBackend::kSelectMap8;  // legacy alias
     } else if (arg == "--port") {
@@ -351,14 +375,14 @@ Options parse_args(int argc, char** argv) {
       const auto c2 = v.find(':', c1 == std::string::npos ? c1 : c1 + 1);
       RELOGIC_CHECK_MSG(c1 != std::string::npos && c2 != std::string::npos,
                         "--device-plane D:PORT:GRANULARITY");
-      const int dev = std::stoi(v.substr(0, c1));
+      const int dev = parse_number<int>(arg, v.substr(0, c1));
       const auto p = config::parse_port_backend(v.substr(c1 + 1, c2 - c1 - 1));
       const auto g = config::parse_write_granularity(v.substr(c2 + 1));
       RELOGIC_CHECK_MSG(p.has_value() && g.has_value(),
                         "--device-plane D:PORT:GRANULARITY, bad value: " + v);
       opt.device_planes[dev] = runtime::ConfigPlaneSpec{*p, *g};
     } else if (arg == "--threads") {
-      opt.fleet_cfg.threads = std::stoi(need(i));
+      opt.fleet_cfg.threads = parse_number<int>(arg, need(i));
     } else if (arg == "--telemetry") {
       opt.telemetry_file = need(i);
     } else if (arg == "--trace") {
@@ -368,7 +392,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       opt.metrics_file = need(i);
     } else if (arg == "--metrics-interval-ms") {
-      opt.metrics_interval_ms = std::stod(need(i));
+      opt.metrics_interval_ms = parse_number<double>(arg, need(i));
       RELOGIC_CHECK_MSG(opt.metrics_interval_ms > 0.0,
                         "--metrics-interval-ms must be > 0");
     } else if (arg == "--metrics-format") {
@@ -380,15 +404,15 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--selftest") {
       opt.selftest = true;
     } else if (arg == "--fault-rate") {
-      opt.fault_rate = std::stod(need(i));
+      opt.fault_rate = parse_number<double>(arg, need(i));
     } else if (arg == "--fault-seed") {
-      opt.fault_seed = std::stoull(need(i));
+      opt.fault_seed = parse_number<std::uint64_t>(arg, need(i));
     } else if (arg == "--quarantine-threshold") {
-      opt.quarantine_threshold = std::stod(need(i));
+      opt.quarantine_threshold = parse_number<double>(arg, need(i));
     } else if (arg == "--sweep-window") {
-      opt.sweep_window = std::stoi(need(i));
+      opt.sweep_window = parse_number<int>(arg, need(i));
     } else if (arg == "--sweep-period") {
-      opt.sweep_period_ms = std::stod(need(i));
+      opt.sweep_period_ms = parse_number<double>(arg, need(i));
     } else if (arg == "--out") {
       opt.out_file = need(i);
     } else if (arg == "--script") {
