@@ -64,33 +64,11 @@ same machine state, no normalization needed; gating against a
 minutes-earlier measurement was too drift-prone for a 5% margin. Missing
 either metric of a pair fails the guard.
 
-One more within-run gate guards the kernel-backend layer (PR 10): the
-BM_ConfigApplyKernel trio runs the identical XCV1000 apply workload once
-per registered backend, registered adjacently so the ratios are taken
-under the same machine state. What the gate requires depends on what the
-simd backend's runtime CPU dispatch actually picked, which bench_microperf
-records as the KernelSimdVectorized flag metric (1 = avx2/neon engaged,
-0 = portable scalar fallback):
-
-  * vectorized: BM_ConfigApplyKernel_serial / BM_ConfigApplyKernel_simd
-    must be >= KERNEL_SPEEDUP_VECTOR (2x) — the point of the SoA columns
-    is that the delta sweep is lane-parallel, and on hardware with lanes
-    that must show up as wall-clock.
-  * scalar fallback: the simd backend must still have run (its metric
-    present — the fallback path is exercised, not skipped) and stay
-    within KERNEL_SCALAR_FALLBACK_FACTOR (1.5x) of serial; the dispatch
-    wrapper must cost dispatch, not a reimplementation.
-
-Missing any of the three kernel metrics or the flag fails the guard.
-
 If the guard fires without a plausible code cause, or after an intentional
 hot-path change, refresh the baseline:
 
     ./build/bench_microperf --benchmark_filter='BM_ConfigApply|BM_DirtyPreview|BM_BatcherFlush|BM_TraceOverhead|BM_MetricsOverhead|BM_RoutingGraphBuild|BM_FabricAcquireCached|BM_SchedulerPacked|BM_SimulatorCycles|BM_GatedCellRelocation'
     cp BENCH_microperf.json bench/baselines/microperf_baseline.json
-
-(the BM_ConfigApply filter already covers the BM_ConfigApplyKernel trio,
-and the flag metric is emitted unconditionally).
 
 Usage: check_perf_baseline.py <current.json> <baseline.json> [max_factor]
 """
@@ -127,19 +105,8 @@ OFF_GATES = (
 )
 OFF_FACTOR = 1.05
 
-# Kernel-backend gates (within-run; see module docstring). The serial and
-# simd metrics fall under GUARDED_PREFIXES already; the flag metric is a
-# 0/1 dispatch record, not a time, and is dropped before the cross-run loop.
-KERNEL_SERIAL = "BM_ConfigApplyKernel_serial"
-KERNEL_SIMD = "BM_ConfigApplyKernel_simd"
-KERNEL_VECTOR_FLAG = "KernelSimdVectorized"
-KERNEL_SPEEDUP_VECTOR = 2.0        # avx2/neon engaged: simd >= 2x serial
-KERNEL_SCALAR_FALLBACK_FACTOR = 1.5  # scalar fallback: near-serial, not broken
-
-
 def load_metrics(path):
-    keep = (SKELETON_COLD, SKELETON_STAGING, ACQUIRE_CACHED, REFERENCE_METRIC,
-            KERNEL_VECTOR_FLAG)
+    keep = (SKELETON_COLD, SKELETON_STAGING, ACQUIRE_CACHED, REFERENCE_METRIC)
     with open(path) as f:
         doc = json.load(f)
     return {
@@ -208,32 +175,6 @@ def check_off_gates(current):
     return passed
 
 
-def check_kernel_gates(current):
-    """Within-run gate on the kernel-backend trio: vectorized simd beats
-    serial by KERNEL_SPEEDUP_VECTOR; the scalar fallback (no vector unit)
-    must still run and stay near serial. Returns True on pass."""
-    serial = current.get(KERNEL_SERIAL)
-    simd = current.get(KERNEL_SIMD)
-    flag = current.get(KERNEL_VECTOR_FLAG)
-    if serial is None or simd is None or simd <= 0 or flag is None:
-        print(f"FAIL kernel gate: need {KERNEL_SERIAL}, {KERNEL_SIMD} and "
-              f"{KERNEL_VECTOR_FLAG} in the current report")
-        return False
-    if flag >= 1.0:
-        speedup = serial / simd
-        verdict = "FAIL" if speedup < KERNEL_SPEEDUP_VECTOR else "ok"
-        print(f"{verdict:4} simd kernel (vectorized): {simd:.3g} us vs serial "
-              f"{serial:.3g} us same-run ({speedup:.2f}x speedup, need "
-              f">= {KERNEL_SPEEDUP_VECTOR:.1f}x)")
-        return speedup >= KERNEL_SPEEDUP_VECTOR
-    ratio = simd / serial if serial > 0 else float("inf")
-    verdict = "FAIL" if ratio > KERNEL_SCALAR_FALLBACK_FACTOR else "ok"
-    print(f"{verdict:4} simd kernel (scalar fallback exercised): {simd:.3g} us "
-          f"vs serial {serial:.3g} us same-run ({ratio:.2f}x, limit "
-          f"{KERNEL_SCALAR_FALLBACK_FACTOR:.1f}x)")
-    return ratio <= KERNEL_SCALAR_FALLBACK_FACTOR
-
-
 def main(argv):
     if len(argv) < 3:
         sys.stderr.write(__doc__)
@@ -244,18 +185,11 @@ def main(argv):
 
     failed_off_gates = not check_off_gates(current)
     failed_skeleton_gates = not check_skeleton_gates(current)
-    failed_kernel_gates = not check_kernel_gates(current)
 
     # The skeleton metrics are gated within-run above, not against the
     # baseline — drop them so the cross-run loop only sees the guarded
     # families (staging is deliberately slow; acquire is in different units).
-    # KERNEL_SIMD is gated within-run only: its absolute time depends on
-    # which variant the CPU dispatch picked, so comparing a scalar-fallback
-    # run against a baseline recorded on a vector machine (or vice versa)
-    # would fail on hardware, not code. Serial stays cross-run gated, and
-    # the within-run ratio pins simd to serial.
-    for name in (SKELETON_STAGING, ACQUIRE_CACHED, KERNEL_VECTOR_FLAG,
-                 KERNEL_SIMD):
+    for name in (SKELETON_STAGING, ACQUIRE_CACHED):
         current.pop(name, None)
         baseline.pop(name, None)
 
@@ -286,8 +220,7 @@ def main(argv):
         print(f"{verdict:4} {name}: {cur:.3g} (normalized) vs baseline "
               f"{base:.3g} ({ratio:.2f}x, limit {factor:.1f}x)")
         failed = failed or ratio > factor
-    failed = (failed or failed_off_gates or failed_skeleton_gates or
-              failed_kernel_gates)
+    failed = failed or failed_off_gates or failed_skeleton_gates
     if failed:
         print("perf-regression guard FAILED — see bench/check_perf_baseline.py "
               "for the baseline-refresh procedure")

@@ -7,41 +7,31 @@ namespace relogic::config {
 CellColumns::CellColumns(fabric::Fabric& fab)
     : fab_(fab),
       rows_(fab.geometry().clb_rows),
-      cols_(fab.geometry().clb_cols),
       cells_(fab.geometry().cells_per_clb) {
-  const std::size_t slots =
-      static_cast<std::size_t>(cols_) * cells_ * rows_;
-  const std::size_t words = (slots + 63) / 64;
-  row_default_.resize(static_cast<std::size_t>(rows_));
-  const fabric::LogicCellConfig erased{};
-  for (int r = 0; r < rows_; ++r)
-    row_default_[static_cast<std::size_t>(r)] =
-        FrameImage::cell_token(r, erased);
-
+  const int cols = fab.geometry().clb_cols;
   // Tile the erased tokens into every (col, cell) group, then overlay the
   // cells the fabric already holds in a non-default state.
-  tokens_.resize(slots);
-  const int groups = cols_ * cells_;
+  const fabric::LogicCellConfig erased{};
+  std::vector<std::uint64_t> row_default(static_cast<std::size_t>(rows_));
+  for (int r = 0; r < rows_; ++r)
+    row_default[static_cast<std::size_t>(r)] = FrameImage::cell_token(r, erased);
+  tokens_.resize(static_cast<std::size_t>(cols) * cells_ * rows_);
+  const int groups = cols * cells_;
   for (int g = 0; g < groups; ++g)
-    std::copy(row_default_.begin(), row_default_.end(),
+    std::copy(row_default.begin(), row_default.end(),
               tokens_.begin() + static_cast<std::ptrdiff_t>(g) * rows_);
-  occupancy_.assign(words, 0);
-  fault_.assign(words, 0);
 
   const fabric::ClbConfig erased_clb{};
   for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
+    for (int c = 0; c < cols; ++c) {
       const fabric::ClbConfig& clb = fab.clb(ClbCoord{r, c});
       if (clb == erased_clb) continue;
       for (int cell = 0; cell < cells_; ++cell) {
         const fabric::LogicCellConfig& cfg =
             clb.cells[static_cast<std::size_t>(cell)];
-        if (cfg == erased) continue;
-        const int s = slot(r, c, cell);
-        tokens_[static_cast<std::size_t>(s)] = FrameImage::cell_token(r, cfg);
-        occupancy_[static_cast<std::size_t>(s) >> 6] |=
-            std::uint64_t{1} << (s & 63);
-        ++occupied_count_;
+        if (cfg != erased)
+          tokens_[static_cast<std::size_t>(slot(r, c, cell))] =
+              FrameImage::cell_token(r, cfg);
       }
     }
   }
@@ -54,35 +44,8 @@ CellColumns::~CellColumns() { fab_.remove_listener(this); }
 void CellColumns::on_cell_changed(ClbCoord clb, int cell,
                                   const fabric::LogicCellConfig& /*before*/,
                                   const fabric::LogicCellConfig& after) {
-  const int s = slot(clb.row, clb.col, cell);
-  const std::size_t w = static_cast<std::size_t>(s) >> 6;
-  const std::uint64_t m = std::uint64_t{1} << (s & 63);
-  tokens_[static_cast<std::size_t>(s)] =
+  tokens_[static_cast<std::size_t>(slot(clb.row, clb.col, cell))] =
       FrameImage::cell_token(clb.row, after);
-  const bool was = (occupancy_[w] & m) != 0;
-  const bool now = after != fabric::LogicCellConfig{};
-  if (was != now) {
-    occupancy_[w] ^= m;
-    occupied_count_ += now ? 1 : -1;
-  }
-}
-
-const std::uint64_t* CellColumns::fault_mask() {
-  const int n = fab_.injected_fault_count();
-  if (n != fault_synced_count_) {
-    std::fill(fault_.begin(), fault_.end(), 0);
-    for (int idx : fab_.fault_cell_indices()) {
-      const int cell = idx % cells_;
-      const int flat = idx / cells_;
-      const int col = flat % cols_;
-      const int row = flat / cols_;
-      const int s = slot(row, col, cell);
-      fault_[static_cast<std::size_t>(s) >> 6] |= std::uint64_t{1}
-                                                  << (s & 63);
-    }
-    fault_synced_count_ = n;
-  }
-  return fault_.data();
 }
 
 }  // namespace relogic::config

@@ -1,35 +1,26 @@
-// CellColumns: SoA mirror of the fabric's per-cell configuration state,
+// CellColumns: SoA token mirror of the fabric's per-cell configuration,
 // laid out in FrameIndex order.
 //
 // The fabric stores cells as an array-of-structs (ClbConfig rows), which is
 // the right shape for structural queries but the wrong one for the config
-// plane: computing a transaction's frame deltas means visiting the cells of
-// a (column, cell) frame group, and in AoS order those are strided across
-// the whole CLB array. This class keeps three flat columns, indexed by
+// plane: computing a transaction's frame deltas needs each written cell's
+// FrameImage::cell_token before and after the write. This class keeps those
+// tokens in one flat column, indexed by
 //
 //   slot(col, cell, row) = (col * cells_per_clb + cell) * rows + row
 //
 // — i.e. the cells of one frame group are `rows` contiguous slots, and
-// groups follow each other exactly in FrameIndex id order:
-//
-//  * tokens()      — FrameImage::cell_token(row, cfg) of the cell's current
-//                    configuration. The controller's apply loop reads the
-//                    before-token here, writes the fabric, and reads the
-//                    after-token back (the listener updated it) — the XOR of
-//                    the two is the frame-group delta, no AoS walk needed.
-//  * occupancy()   — bitmap: slot's configuration differs from the erased
-//                    (default) state. This is what the full-device digest
-//                    sweep (KernelBackend::cell_digest_sweep) iterates, so
-//                    audit/baseline recompute cost scales with configured
-//                    cells, not device area.
-//  * fault_mask()  — bitmap: slot has an injected configuration-memory
-//                    defect (Fabric::inject_fault), synced lazily from the
-//                    fabric's fault table.
+// groups follow each other exactly in FrameIndex id order. The controller's
+// apply loop reads the before-token here, writes the fabric, and reads the
+// after-token back (the listener updated it); the XOR of the two is the
+// frame-group delta, so the loop hashes nothing itself.
 //
 // The mirror registers itself as a FabricListener; every cell mutation —
 // including restore() and the re-corruption write of inject_fault — funnels
 // through Fabric::set_cell_config, so on_cell_changed sees every effective
-// change and the columns stay exact.
+// change and the tokens stay exact. The digest audit
+// (ConfigController::audit_image) recomputes from the fabric's own cell
+// storage, not from this mirror.
 #pragma once
 
 #include <cstdint>
@@ -48,46 +39,14 @@ class CellColumns : public fabric::FabricListener {
   CellColumns(const CellColumns&) = delete;
   CellColumns& operator=(const CellColumns&) = delete;
 
-  int rows() const { return rows_; }
-  int cols() const { return cols_; }
-  int cells_per_clb() const { return cells_; }
   int slot_count() const { return static_cast<int>(tokens_.size()); }
-  int word_count() const { return static_cast<int>(occupancy_.size()); }
 
   int slot(int row, int col, int cell) const {
     return (col * cells_ + cell) * rows_ + row;
   }
 
-  /// Current configuration token of one cell.
-  std::uint64_t token(int row, int col, int cell) const {
-    return tokens_[static_cast<std::size_t>(slot(row, col, cell))];
-  }
+  /// Current configuration token per slot.
   const std::uint64_t* tokens() const { return tokens_.data(); }
-
-  /// Token of the erased (default) configuration at each row.
-  const std::uint64_t* row_default_tokens() const {
-    return row_default_.data();
-  }
-
-  /// Bitmap over slots: configuration differs from the erased state.
-  const std::uint64_t* occupancy() const { return occupancy_.data(); }
-  bool occupied(int row, int col, int cell) const {
-    const int s = slot(row, col, cell);
-    return (occupancy_[static_cast<std::size_t>(s) >> 6] >>
-            (s & 63)) & 1u;
-  }
-  /// Number of non-default cells across the device.
-  int occupied_count() const { return occupied_count_; }
-
-  /// Bitmap over slots: cell has an injected configuration-memory defect.
-  /// Synced from the fabric's fault table on call (cheap when the injected
-  /// count has not changed since the last sync).
-  const std::uint64_t* fault_mask();
-  bool faulted(int row, int col, int cell) {
-    const int s = slot(row, col, cell);
-    return (fault_mask()[static_cast<std::size_t>(s) >> 6] >>
-            (s & 63)) & 1u;
-  }
 
   // FabricListener:
   void on_cell_changed(ClbCoord clb, int cell,
@@ -98,14 +57,8 @@ class CellColumns : public fabric::FabricListener {
  private:
   fabric::Fabric& fab_;
   int rows_ = 0;
-  int cols_ = 0;
   int cells_ = 0;
   std::vector<std::uint64_t> tokens_;
-  std::vector<std::uint64_t> row_default_;
-  std::vector<std::uint64_t> occupancy_;
-  std::vector<std::uint64_t> fault_;
-  int occupied_count_ = 0;
-  int fault_synced_count_ = -1;  ///< injected_fault_count at last sync
 };
 
 }  // namespace relogic::config

@@ -20,25 +20,33 @@
 // and the frames_skipped accounting); the structural effect on the fabric
 // is byte-identical across all three policies.
 //
-// The data path runs on the flat structures of config/frame_index.hpp:
-// frame sets are sorted dense-id vectors (FrameSet), content deltas live in
-// a flat zero-invariant map (FrameDeltaMap), and pricing is a single pass
-// over a sorted id range that buckets per column while accumulating port
-// time — O(frames), not O(columns x frames). The controller keeps mutable
-// scratch buffers so steady-state ops allocate nothing; like the Fabric it
-// drives, a controller must not be shared across threads.
+// The data path runs on the flat structures of config/frame_index.hpp and
+// has exactly one implementation of each decision (DESIGN.md §9):
 //
-// The inner loops dispatch through a config::KernelBackend (kernel.hpp).
-// A *reference* backend ("serial") runs the preserved PR 5 scalar path —
-// sort-based frame mapping, hash-map action overlays, per-run virtual port
-// pricing, AoS digest recompute. Non-reference backends ("openmp", "simd")
-// run the optimized path: frame mapping through per-op word bitmaps, the
-// op's delta accumulated against the SoA cell-token columns
-// (cell_columns.hpp) with token-level overlays, the digest commit fused
-// with the dirty scan in one kernel sweep, and pricing from a memoized
-// port-time table. Both paths are pinned byte-identical — digests,
-// ApplyResult fields, ConfigTotals, frame sets — by the golden-equivalence
-// suite at every granularity (DESIGN.md §9).
+//  * frame mapping — kColumn collects one marker per touched column and
+//    expands each to its contiguous frame run; kFrame / kDirtyFrame mark
+//    the op's frames in a per-op word bitmap and expand only the marked
+//    words, sorted and deduplicated;
+//  * delta accumulation — a cell write's delta is the XOR of its before-
+//    and after-token from the CellColumns token mirror, folded per
+//    (column, cell) RUN (a cell's frames do not depend on its row); PIP and
+//    source deltas go into a flat FrameDeltaMap. Preview and
+//    preview_sequence simulate the same accumulation through value overlays
+//    of earlier actions instead of writing the fabric;
+//  * dirty selection and the digest commit walk the runs and the delta
+//    map's touched list, never the whole device;
+//  * pricing counts frames per dense column and charges one port
+//    transaction per touched column from a port-time table;
+//  * the LUT-RAM legality check derives CLB columns from the op's actions;
+//  * the digest recompute behind audit_image walks the fabric's own cell
+//    storage, independently of the token mirror it audits.
+//
+// The controller keeps mutable scratch buffers so steady-state ops allocate
+// nothing; like the Fabric it drives, a controller must not be shared
+// across threads. tests/flatpath_test.cpp pins every output — digests,
+// ApplyResult fields, ConfigTotals, frame sets, preview sequences and the
+// LUT-RAM verdict — against an independent set/map reference at every
+// granularity.
 //
 // The controller performs *configuration*; it never touches user state. The
 // interaction between configuration writes and live user logic is what the
@@ -47,9 +55,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -157,11 +163,11 @@ struct ConfigTotals {
 
 class ConfigController {
  public:
-  /// `kernel` selects the hot-loop backend; nullptr means
-  /// default_kernel_backend() ($RELOGIC_KERNEL_BACKEND, else "simd").
+  /// The optional 4th argument is ignored; it remains for source
+  /// compatibility only (see kernel.hpp).
   ConfigController(fabric::Fabric& fabric, const ConfigPort& port,
                    WriteGranularity granularity,
-                   const KernelBackend* kernel = nullptr);
+                   const KernelBackend* /*unused*/ = nullptr);
 
   /// Legacy two-regime constructor: `column_granular` selects whole-column
   /// rewrites (kColumn, the JBits regime the paper measured) versus minimal
@@ -184,11 +190,6 @@ class ConfigController {
   const FrameIndex& index() const { return index_; }
   /// Shadow copy of the device's frame contents (dirty-frame diffing).
   const FrameImage& image() const { return image_; }
-  /// The kernel backend this controller's hot loops run on.
-  const KernelBackend& kernel() const { return *kernel_; }
-  /// SoA mirror of per-cell configuration state in FrameIndex order.
-  const CellColumns& columns() const { return columns_; }
-  CellColumns& columns() { return columns_; }
 
   /// Frames a ConfigOp would write, without applying it. Widened to whole
   /// columns under kColumn; the exact mapped frame set otherwise (for
@@ -235,11 +236,6 @@ class ConfigController {
   /// baseline of a coalesced transaction.
   ApplyResult preview(const ConfigOp& op) const;
 
-  /// Same accounting from an already-computed frame set (frames_of(op)),
-  /// for callers that need the frames anyway and shouldn't pay for the
-  /// mapping twice. Prices every frame in the set (no dirty filtering).
-  ApplyResult preview(const FrameSet& frames) const;
-
   /// preview(op) with the frame mapping reused from frames_of(op) — the
   /// granularity-aware variant of the overload above (dirty filtering
   /// still applies under kDirtyFrame).
@@ -256,28 +252,30 @@ class ConfigController {
   ApplyResult apply(const ConfigOp& op, const FrameSet& frames,
                     bool allow_lut_ram_columns);
 
-  /// Cell key used by the LUT-RAM legality check: {row, col, cell}. A
-  /// packed (row, col * 4 + cell) pair was used before; it aliased distinct
-  /// cells on any geometry with cells_per_clb > 4 (e.g. col 0 cell 4 and
-  /// col 1 cell 0), silently exempting live LUT-RAM cells from the column
-  /// check. The tuple is alias-free for every geometry.
-  using CellKey = std::tuple<int, int, int>;
+  /// Packed {row, col, cell} key of the LUT-RAM exemption sets, 20 bits
+  /// per field. A (row, col * 4 + cell) packing was used once; it aliased
+  /// distinct cells on any geometry with cells_per_clb > 4 (e.g. col 0
+  /// cell 4 and col 1 cell 0), silently exempting live LUT-RAM cells from
+  /// the column check. Separate fields are alias-free for every geometry.
+  using CellKey = std::uint64_t;
+  static CellKey cell_key(int row, int col, int cell) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(row)) << 40) |
+           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 20) |
+           static_cast<std::uint64_t>(static_cast<std::uint32_t>(cell));
+  }
 
-  /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if any
-  /// frame of the op lies in a CLB column containing a used LUT-RAM cell
-  /// that the op itself does not rewrite. `extra_rewritten` extends the
-  /// exemption set with cells known to be rewritten before this op applies
-  /// (the transaction batcher passes its pending batch's writes so each
-  /// queued op is checked exactly as the per-op sequence would be). The
-  /// column set this checks is identical across granularities — widening
+  /// LUT-RAM legality (paper, Sec. 2): throws IllegalOperationError if the
+  /// op touches a CLB column containing a used LUT-RAM cell that the op
+  /// itself does not rewrite. `extra_rewritten` — sorted cell_key()s —
+  /// extends the exemption set with cells known to be rewritten before
+  /// this op applies (the transaction batcher passes its pending batch's
+  /// writes so each queued op is checked exactly as the per-op sequence
+  /// would be). Columns are derived from the op's actions: the CLB-column
+  /// set of frames_of(op) is the same at every granularity, since widening
   /// only adds frames within columns the op already touches.
-  void check_lut_ram_columns(const ConfigOp& op,
-                             const std::set<CellKey>* extra_rewritten =
-                                 nullptr) const;
-
-  /// Same check from an already-computed frame set (frames_of(op)).
-  void check_lut_ram_columns(const ConfigOp& op, const FrameSet& frames,
-                             const std::set<CellKey>* extra_rewritten) const;
+  void check_lut_ram_columns(
+      const ConfigOp& op,
+      const std::vector<CellKey>* extra_rewritten = nullptr) const;
 
   const ConfigTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = ConfigTotals{}; }
@@ -303,76 +301,61 @@ class ConfigController {
  private:
   /// The frame controlling a net-source attach/detach (output mux / pad).
   FrameAddress source_frame(const SourceChange& sc) const;
-  /// Whether the optimized (non-reference-kernel) data path runs.
-  bool fast_path() const { return !kernel_->reference(); }
+  /// The one frame a PIP or source action maps to.
+  FrameAddress net_frame(const ConfigAction& a) const;
+  /// Throws ContractError on an out-of-range cell write: arithmetic id
+  /// derivation must not spill into a neighbouring column region.
+  void check_cell_bounds(const CellWrite& cw) const;
 
-  // ---- optimized path (non-reference kernels) ------------------------------
-  /// frames_of for kFrame / kDirtyFrame via a per-op frame bitmap: mark
-  /// each action's frame run, kernel-expand to sorted ids, clear only the
-  /// marked words. Output identical to the sort-based reference path.
-  void frames_of_fast(const ConfigOp& op, FrameSet& out) const;
-  /// accumulate_deltas against the SoA token columns with an epoch-stamped
-  /// per-slot token overlay instead of the cell hash map. Cell deltas come
-  /// out as run_base_/run_delta_ RUNS (one frames_per_cell run per distinct
-  /// cell the op touches, delta possibly XOR-cancelled to 0) instead of a
-  /// per-frame map; edge/source deltas — provably disjoint frame ids, see
-  /// FrameMapper::first_routing_frame — go into `net_out` as before.
-  void accumulate_deltas_fast(const ConfigOp& op, FrameDeltaMap& net_out,
-                              bool count_net_frames) const;
-  /// Resets the sequence-persistent overlays (cell epoch bump + edge/source
-  /// maps). The per-op run state is reset by begin_op_fast().
-  void clear_overlays_fast() const;
-  /// Starts a new per-op epoch for the run collectors.
-  void begin_op_fast() const;
-  /// price_full over an already-sorted id array via the kernel's one-pass
-  /// pricing with the memoized port-time table.
-  ApplyResult price_ids(const std::int32_t* ids, int n) const;
-  /// kDirtyFrame pricing of the collected cell runs plus the net dirty ids:
-  /// per-column frame counts + one memoized port transaction per touched
-  /// column in ascending column order — identical to pricing the sorted
-  /// dirty id list, because a column's frames are id-contiguous.
-  ApplyResult price_runs(const std::int32_t* net_dirty, int n_net) const;
-  /// apply() body on the optimized path. `frames` supplies the op frame
-  /// count for frames_skipped; nullptr means count internally (4 per
-  /// distinct cell + distinct net frames) without materializing ids.
-  ApplyResult apply_fast(const ConfigOp& op, const FrameSet* frames,
-                         bool allow_lut_ram_columns);
-  /// preview() body on the optimized kDirtyFrame path (same `frames`
-  /// convention as apply_fast).
-  ApplyResult preview_fast(const ConfigOp& op, const FrameSet* frames) const;
-  /// LUT-RAM legality with the column set derived from the op's actions
-  /// (identical to the frame-derived set — widening never adds columns).
-  void check_lut_ram_columns_fast(const ConfigOp& op) const;
-  /// Charges totals, trace and logging for one applied op (shared tail of
-  /// the reference and fast apply paths).
-  ApplyResult finish_apply(const ConfigOp& op, ApplyResult result,
-                           int effective);
+  /// apply() body. `frames` supplies |frames_of(op)| for frames_skipped and
+  /// the kColumn / kFrame pricing; nullptr (kDirtyFrame only) counts it
+  /// instead — frames_per_cell per distinct run plus distinct net frames —
+  /// without materializing ids.
+  ApplyResult apply_op(const ConfigOp& op, const FrameSet* frames,
+                       bool allow_lut_ram_columns);
+  /// kDirtyFrame preview body (same `frames` convention as apply_op).
+  ApplyResult preview_dirty(const ConfigOp& op, const FrameSet* frames) const;
+
+  // ---- per-op state ---------------------------------------------------------
+  /// Starts a new op: empties the runs, the net delta map, the frame marks
+  /// and the net frame count.
+  void begin_op() const;
+  /// Index of the run of (col, cell) in this op, created on first use.
+  std::size_t run_index(int col, int cell) const;
+  /// Marks a frame in the per-op bitmap; true when it was not yet marked.
+  bool mark_frame(std::int32_t id) const;
+  /// Zeroes the marked words (O(op), not O(device)).
+  void clear_marks() const;
+  /// Resets the sequence-persistent value overlays of the simulation.
+  void clear_overlays() const;
+  /// Accumulates the deltas the op *would* produce into the runs and the
+  /// net delta map, reading before-values through the overlays (callers
+  /// clear them to choose single-op or sequence semantics). Injected
+  /// configuration-memory faults are not modelled here — apply() observes
+  /// the exact after-values instead. `count_frames` also marks the op's
+  /// net frames for the counted |frames_of(op)|.
+  void simulate(const ConfigOp& op, bool count_frames) const;
+
+  // ---- dirty selection and pricing -----------------------------------------
+  /// Prices the op's non-zero runs and net deltas. When `written` is
+  /// non-null it receives the dirty frame ids, sorted.
+  ApplyResult price_dirty(FrameSet* written) const;
+  /// Prices every frame of a sorted frame set.
+  ApplyResult price_set(const FrameSet& frames) const;
+  /// Adds `frames` frames of dense column `col` to the pending charge.
+  void charge(std::int32_t col, int frames) const;
+  /// Closes the pending charge: frames, columns and one port transaction
+  /// per charged column.
+  ApplyResult price_charged() const;
+
   /// Absolute per-frame content digest of the fabric as it stands: XOR of
   /// the diff-from-default token of every non-default cell config plus the
   /// tokens of every live PIP and attached source. audit_image compares
   /// image_ against recompute(now) ^ recompute(construction).
   void recompute_digests(std::vector<std::uint64_t>& out) const;
-  /// Granularity-aware pricing: every frame of `frames` under kColumn /
-  /// kFrame; only the dirty (non-zero-delta) subset under kDirtyFrame,
-  /// with the remainder counted as frames_skipped.
-  ApplyResult price(const FrameSet& frames, const FrameDeltaMap& deltas) const;
-  /// One pass over a sorted id set: counts frames and columns and charges
-  /// one port transaction per column run.
-  ApplyResult price_full(const FrameSet& frames) const;
-  /// Per-frame content deltas the op *would* produce, simulated against the
-  /// current fabric with an overlay of the op's own earlier actions (an op
-  /// that adds then removes the same PIP nets out to delta 0). Injected
-  /// configuration-memory faults are not modelled here — apply() computes
-  /// the exact deltas from observed before/after values instead.
-  void simulate_deltas(const ConfigOp& op, FrameDeltaMap& out) const;
-  /// simulate_deltas core: accumulates one op's deltas into `out` reading
-  /// before-values through the *persistent* overlay scratch (callers clear
-  /// the overlays to choose single-op or sequence semantics).
-  void accumulate_deltas(const ConfigOp& op, FrameDeltaMap& out) const;
 
   fabric::Fabric* fabric_;
   const ConfigPort* port_;
-  const KernelBackend* kernel_;
   FrameMapper mapper_;
   WriteGranularity granularity_;
   FrameIndex index_;
@@ -383,16 +366,54 @@ class ConfigController {
   /// Fabric content digests at construction — the erased-state baseline the
   /// image's deltas are relative to (see audit_image). One walk at ctor.
   std::vector<std::uint64_t> audit_baseline_;
+  /// Dense column id per frame id (pricing reads it per frame).
+  std::vector<std::uint16_t> col_of_;
+  /// Port write_time of one transaction by its frame count, tabulated at
+  /// construction. The port model is a pure function of (frames,
+  /// frame_bits), so the table returns exactly what calling it would.
+  std::vector<SimTime> time_of_run_;
 
   // ---- reusable scratch (not thread-safe; see the header comment) ---------
   mutable FrameSet frames_scratch_;   ///< apply(op) / preview(op) mapping
-  mutable FrameSet dirty_scratch_;    ///< dirty subset in price()
+  mutable FrameSet dirty_scratch_;    ///< preview_sequence written set
   mutable FrameSet columns_scratch_;  ///< distinct column markers (kColumn)
+  /// Net (PIP / source) deltas of the current op. Cell deltas live in the
+  /// runs below; the two cover disjoint frame ids (see
+  /// FrameMapper::first_routing_frame).
   mutable FrameDeltaMap deltas_scratch_;
-  /// simulate_deltas / preview_sequence value overlay of earlier actions.
-  /// Hash maps (reused across calls, so buckets are allocated once): the
-  /// per-op path keeps them tiny, but preview_sequence persists them across
-  /// a whole op sequence, where a linear scan would go quadratic.
+  /// Per-op frame bitmap + the list of its non-zero words.
+  mutable std::vector<std::uint64_t> op_words_;
+  mutable std::vector<std::int32_t> op_word_marks_;
+  /// Distinct net frames marked in counting mode.
+  mutable int net_frames_ = 0;
+  /// Runs: one entry per distinct (col, cell) the op touches. run_delta_
+  /// accumulates before ^ after per write, which telescopes to op-entry
+  /// token ^ final token per touched cell (0 when writes cancel or rewrite
+  /// identically — the same XOR merge a per-frame map performs). runkey_*
+  /// is indexed by col * cells_per_clb + cell and epoch-stamped per op.
+  mutable std::vector<std::int32_t> run_base_;
+  mutable std::vector<std::uint64_t> run_delta_;
+  mutable std::vector<std::int32_t> run_col_;  ///< dense column of the run
+  mutable std::vector<std::int32_t> runkey_idx_;
+  mutable std::vector<std::uint32_t> runkey_stamp_;
+  mutable std::uint32_t op_epoch_ = 1;
+  /// Pending charge: frames per dense column (0 = not charged yet) and the
+  /// charged columns. Visit order does not matter — the frame and column
+  /// counts and the SimTime sum are commutative.
+  mutable std::vector<std::int32_t> col_count_;
+  mutable std::vector<std::int32_t> col_list_;
+  /// Value overlays of earlier actions for simulate(): cell tokens per slot
+  /// (epoch-stamped, slot layout = CellColumns), PIP and source states in
+  /// hash maps (reused, so buckets are allocated once; preview_sequence
+  /// persists them across a whole op sequence). Token equality stands in
+  /// for config equality — a colliding pair would produce delta 0 either
+  /// way.
+  struct CellOverlay {
+    std::uint64_t tok;
+    std::uint32_t stamp;
+  };
+  mutable std::vector<CellOverlay> overlay_;
+  mutable std::uint32_t overlay_epoch_ = 1;
   struct EdgeKey {
     fabric::NetId net;
     fabric::NodeId from;
@@ -409,66 +430,12 @@ class ConfigController {
       return static_cast<std::size_t>(x);
     }
   };
-  mutable std::unordered_map<std::uint64_t, fabric::LogicCellConfig>
-      overlay_cells_;
   mutable std::unordered_map<EdgeKey, bool, EdgeKeyHash> overlay_edges_;
   mutable std::unordered_map<std::uint64_t, bool> overlay_sources_;
-  /// check_lut_ram_columns: packed {row, col, cell} keys the op rewrites.
-  mutable std::vector<std::uint64_t> rewrites_scratch_;
-
-  // ---- fast-path state (non-reference kernels) -----------------------------
-  /// Dense column id per frame id (kernel pricing reads it per frame).
-  std::vector<std::uint16_t> col_of_;
-  /// Memoized port write_time by same-column run length (1..max_run_). The
-  /// port model is a pure function of (frames, frame_bits), so the memo is
-  /// byte-identical to calling the virtual per run.
-  mutable std::vector<SimTime> time_memo_;
-  mutable std::vector<std::uint8_t> memo_valid_;
-  int max_run_ = 0;
-  int frame_bits_ = 0;
-  /// Per-op frame bitmap for frames_of_fast + the touched-word list that
-  /// lets it clear in O(op) instead of O(device).
-  mutable std::vector<std::uint64_t> op_words_;
-  mutable std::vector<std::int32_t> op_word_marks_;
-  /// Distinct-CLB-column bitmap for the fast LUT-RAM check.
-  mutable std::vector<std::uint64_t> col_words_;
-  /// Token-level cell overlay of simulate_deltas / preview_sequence:
-  /// epoch-stamped per slot (slot layout = CellColumns), packed so one
-  /// cache line serves both fields. Token equality stands in for config
-  /// equality — a colliding pair would produce delta 0 on the reference
-  /// path too, so outputs stay identical.
-  struct CellOverlay {
-    std::uint64_t tok;
-    std::uint32_t stamp;
-  };
-  mutable std::vector<CellOverlay> overlay_;
-  mutable std::uint32_t overlay_epoch_ = 1;
-  /// Per-op run collectors: one entry per distinct (col, cell) the op
-  /// touches — a run's frames depend only on the cell's column position,
-  /// so every row of the same (col, cell) folds into ONE run (their deltas
-  /// can XOR-cancel, exactly as the reference FrameDeltaMap merges them).
-  /// run_delta_ accumulates before ^ after per write, which telescopes to
-  /// op-entry token ^ final token per touched cell (0 when writes cancel
-  /// or rewrite identically). runkey_* is indexed by
-  /// col * cells_per_clb + cell — small enough to stay cache-hot.
-  mutable std::vector<std::int32_t> run_base_;
-  mutable std::vector<std::uint64_t> run_delta_;
-  /// Dense column of each run, recorded at run creation (1 + CLB col —
-  /// saves the col_of_ load in pricing).
-  mutable std::vector<std::int32_t> run_col_;
-  mutable std::vector<std::int32_t> runkey_idx_;
-  mutable std::vector<std::uint32_t> runkey_stamp_;
-  mutable std::uint32_t op_epoch_ = 1;
-  /// price_runs: per-dense-column frame counts + the touched-column list
-  /// (epoch-stamped; all per-column arrays are total_columns()-sized and
-  /// cache-hot). Column visit order doesn't affect the result — frame and
-  /// column counts and the SimTime sum are all commutative.
-  mutable std::vector<std::int32_t> col_count_;
-  mutable std::vector<std::uint32_t> col_stamp_;
-  mutable std::vector<std::int32_t> col_list_;
-  /// Distinct net (edge/source) frames of the current op — counting-mode
-  /// substitute for |frames_of(op)| on the net side.
-  mutable int net_frame_marks_ = 0;
+  /// check_lut_ram_columns: the op's live-LUT-RAM CLB columns and its own
+  /// rewrites (sorted cell_key()s).
+  mutable std::vector<int> ram_cols_;
+  mutable std::vector<CellKey> rewrites_scratch_;
 };
 
 }  // namespace relogic::config

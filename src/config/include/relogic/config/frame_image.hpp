@@ -82,6 +82,21 @@ class FrameImage {
     }
   }
 
+  /// apply_delta_id for every id of the contiguous run [base, base + count)
+  /// — one cell's frame group.
+  void apply_delta_run(std::int32_t base, int count, std::uint64_t delta) {
+    if (delta == 0) return;
+    const std::size_t b = static_cast<std::size_t>(base);
+    const std::size_t n = static_cast<std::size_t>(count);
+    for (std::size_t i = 0; i < n; ++i) hash_[b + i] ^= delta;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!touched_[b + i]) {
+        touched_[b + i] = 1;
+        ++tracked_;
+      }
+    }
+  }
+
   /// Frames whose digest has ever moved away from the erased state.
   std::size_t tracked_frames() const { return tracked_; }
   /// Whether one frame has ever been touched (its digest may since have
@@ -91,14 +106,6 @@ class FrameImage {
   bool ever_touched_id(std::int32_t id) const {
     return touched_[static_cast<std::size_t>(id)] != 0;
   }
-
-  // ---- raw views for the kernel backends (config/kernel.hpp) ---------------
-  // KernelBackend::commit_scan fuses the per-op delta commit with the dirty
-  // scan in one sweep; it mutates the digest/touched arrays and the tracked
-  // counter directly instead of going through apply_delta_id per frame.
-  std::uint64_t* digest_data() { return hash_.data(); }
-  std::uint8_t* ever_touched_data() { return touched_.data(); }
-  std::size_t& tracked_counter() { return tracked_; }
 
   // ---- content tokens (XOR-composable) ------------------------------------
   // Defined inline so the per-action token recomputation in the controller's

@@ -1,157 +1,30 @@
-// Pluggable kernels for the config-plane hot loops.
-//
-// PR 5 flattened the configuration data path onto dense frame ids
-// (frame_index.hpp); this layer makes the inner loops over those flat
-// structures — dirty-set scans, digest-delta commits, one-pass pricing,
-// batcher frame-set unions, and the full-device digest sweeps behind the
-// audit — pluggable behind a KernelBackend so the same golden-equivalence
-// suite (tests/flatpath_test.cpp) pins every implementation byte-identical:
-//
-//  * "serial" is the REFERENCE. It keeps the PR 5 scalar algorithms alive
-//    verbatim — ConfigController checks reference() and runs its preserved
-//    sort-based frames_of / hash-map overlay / per-run virtual pricing path
-//    — exactly the RoutingSkeleton::build_reference precedent: the baseline
-//    the CI within-run gate measures the vectorized backends against.
-//  * "openmp" runs the optimized bitmap/SoA path and parallelizes the
-//    full-device digest sweep over CLB-column bands (PR 9's deterministic
-//    banding: bands write disjoint output slices, concatenation order is
-//    fixed, results are byte-identical at any thread count). Per-op kernels
-//    stay serial — a few hundred frames never amortize a fork/join.
-//  * "simd" runs the optimized path with runtime-dispatched vector inner
-//    loops (AVX2 on x86-64, NEON on aarch64, scalar everywhere else — the
-//    dispatch decision is exposed as variant()).
-//
-// Backends are stateless const singletons registered in a
-// BackendRegistry<KernelBackend> (common/backend_registry.hpp): safe to
-// share across fleet worker threads, selected per controller via the
-// RELOGIC_KERNEL_BACKEND environment variable or the --kernel CLI flag,
-// and echoed in telemetry JSON.
-//
-// Determinism contract (DESIGN.md §9): every method is a pure function of
-// its operands; outputs are defined in ascending-id order, XOR folds are
-// order-independent, and pricing memoizes the port model's own values — so
-// ApplyResult fields, ConfigTotals, digests and frame sets are required to
-// be byte-identical across backends at every granularity, and the
-// equivalence suite enforces it.
+// Source-compatibility shim, no behaviour. The config plane has exactly one
+// implementation (DESIGN.md §9); these names survive only because the
+// frozen end-to-end benchmark (e2ebench/) still compiles against them.
+// Remove this header, ConfigController's 4th constructor argument and
+// FleetConfig::kernel once the benchmark drops the calls.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "relogic/common/backend_registry.hpp"
-#include "relogic/common/time.hpp"
 
 namespace relogic::config {
 
-class ConfigPort;
-
-/// Pricing context: precomputed per-frame column ids plus a lazily filled
-/// memo of the port model's write_time by run length. The memo only ever
-/// caches the port's own answers, so memoized pricing is byte-identical to
-/// calling the virtual per run (the PR 5 reference does exactly that).
-struct PriceTables {
-  const std::uint16_t* column_of = nullptr;  ///< dense column id per frame id
-  int frame_bits = 0;
-  const ConfigPort* port = nullptr;
-  SimTime* time_memo = nullptr;       ///< write_time(n) for n = 1..max_run
-  std::uint8_t* memo_valid = nullptr;
-  int max_run = 0;                    ///< longest possible same-column run
+/// Descriptor of the single config-plane implementation.
+struct KernelBackend {
+  std::string name() const { return "scalar"; }
+  std::string variant() const { return "scalar"; }
 };
 
-struct PriceResult {
-  int frames = 0;
-  int columns = 0;
-  SimTime time = SimTime::zero();
-};
+inline const KernelBackend& default_kernel_backend() {
+  static const KernelBackend kernel;
+  return kernel;
+}
 
-/// Context for the full-device cell-digest sweep (audit / baseline
-/// recompute): the SoA cell-token columns of cell_columns.hpp. Slot layout
-/// is FrameIndex order: slot(col, cell, row) = (col * cells_per_clb + cell)
-/// * rows + row, so one (col, cell) group is `rows` contiguous slots and
-/// owns the `frames_per_cell` contiguous frame ids of that cell's frame
-/// group — groups write disjoint output ranges, which is what makes the
-/// banded parallel sweep race-free and deterministic.
-struct CellSweepCtx {
-  const std::uint64_t* tokens = nullptr;      ///< current token per slot
-  const std::uint64_t* nondefault = nullptr;  ///< bitmap: slot differs from
-                                              ///< the erased configuration
-  const std::uint64_t* row_default = nullptr; ///< erased-config token per row
-  int rows = 0;
-  int cells_per_clb = 0;
-  int clb_cols = 0;
-  int frames_per_cell = 0;
-  int frames_per_clb_column = 0;
-  std::int32_t clb_base = 0;  ///< first CLB-region frame id
-};
-
-class KernelBackend {
- public:
-  virtual ~KernelBackend() = default;
-
-  virtual std::string name() const = 0;
-  /// Which inner-loop flavour actually runs: "scalar", "avx2" or "neon".
-  virtual std::string variant() const { return "scalar"; }
-  /// Reference backends make ConfigController run the preserved PR 5
-  /// scalar path instead of the bitmap/SoA fast path.
-  virtual bool reference() const { return false; }
-
-  // ---- (1) dirty-set scan ---------------------------------------------------
-  /// Appends, in ascending id order, every id marked in the touched-word
-  /// bitmap whose delta is still non-zero (XOR-cancelled frames drop out).
-  virtual void scan_dirty(const std::uint64_t* words, int nwords,
-                          const std::uint64_t* delta,
-                          std::vector<std::int32_t>& out) const;
-
-  /// Appends every set-bit id of a word bitmap in ascending order (the
-  /// frame-set extraction of the fast frames_of path).
-  virtual void expand_bits(const std::uint64_t* words, int nwords,
-                           std::vector<std::int32_t>& out) const;
-
-  // ---- (2) digest-delta commit ---------------------------------------------
-  /// XORs every non-zero delta into the digest array, maintains the
-  /// ever-touched bytes and the tracked-frame count, and (when `dirty` is
-  /// non-null) emits the dirty ids in ascending order — the commit and the
-  /// dirty scan fused into one sweep.
-  virtual void commit_scan(const std::uint64_t* words, int nwords,
-                           const std::uint64_t* delta, std::uint64_t* digest,
-                           std::uint8_t* ever_touched, std::size_t& tracked,
-                           std::vector<std::int32_t>* dirty) const;
-
-  // ---- (3) one-pass pricing -------------------------------------------------
-  /// Prices a sorted id set: frames, distinct columns, and port time with
-  /// one transaction per same-column run (ids are column-contiguous, so
-  /// each column is exactly one run).
-  virtual PriceResult price(const std::int32_t* ids, int n,
-                            const PriceTables& tables) const;
-
-  // ---- (4) frame-set union --------------------------------------------------
-  /// Appends the sorted union of two sorted unique id ranges to `out`.
-  virtual void union_ids(const std::int32_t* a, int na, const std::int32_t* b,
-                         int nb, std::vector<std::int32_t>& out) const;
-
-  // ---- full-device digest sweep --------------------------------------------
-  /// XORs the cell-configuration contribution of every non-default cell
-  /// into `out` (indexed by frame id). Shared by audit_image and the
-  /// construction-time baseline.
-  virtual void cell_digest_sweep(const CellSweepCtx& ctx,
-                                 std::uint64_t* out) const;
-};
-
-/// The process-wide kernel-backend registry, pre-loaded with the built-in
-/// serial / openmp / simd backends on first use.
-BackendRegistry<KernelBackend>& kernel_registry();
-
-/// Backend registered under `name`, or nullptr.
-const KernelBackend* kernel_backend(std::string_view name);
-
-/// The backend new controllers get when none is passed explicitly:
-/// $RELOGIC_KERNEL_BACKEND if set (unknown names throw), else "simd"
-/// (whose scalar fallback makes it safe everywhere). Resolved once.
-const KernelBackend& default_kernel_backend();
-
-/// Registered backend names, registration order (serial first).
-std::vector<std::string> kernel_backend_names();
+/// The descriptor when `name` is its name, else nullptr.
+inline const KernelBackend* kernel_backend(std::string_view name) {
+  const KernelBackend& k = default_kernel_backend();
+  return name == k.name() ? &k : nullptr;
+}
 
 }  // namespace relogic::config

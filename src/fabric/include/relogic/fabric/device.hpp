@@ -27,7 +27,7 @@ enum class DevicePreset {
   kXCV1000,
   /// Synthetic beyond-family size point (no Virtex part this large existed;
   /// the 4000-class geometry extrapolates the XCV row/col progression) used
-  /// to measure how the SoA/kernel data path scales past XCV1000.
+  /// to measure how the config-plane data path scales past XCV1000.
   kXCV4000,
 };
 

@@ -1,5 +1,6 @@
 #include "relogic/runtime/batcher.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "relogic/common/audit.hpp"
@@ -66,7 +67,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
   // per-op check's verdict. The merged apply()'s own check is strictly
   // weaker and serves as a safety net only.
   if (!options_.allow_lut_ram_columns)
-    controller_->check_lut_ram_columns(op, op_frames_, &pending_rewrites_);
+    controller_->check_lut_ram_columns(op, &pending_rewrites_);
 
   // Merge-path baseline: previewed against the fabric as it stands at
   // enqueue (before the pending batch applies) — an estimate under
@@ -81,12 +82,7 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
 
   if (pending_ops_ > 0 && (options_.max_columns > 0 || options_.max_frames > 0)) {
     merged_scratch_ = pending_frames_;
-    merged_scratch_.union_via(
-        op_frames_, [k = &controller_->kernel()](const std::int32_t* a, int na,
-                                                 const std::int32_t* b, int nb,
-                                                 std::vector<std::int32_t>& out) {
-          k->union_ids(a, na, b, nb, out);
-        });
+    merged_scratch_.union_with(op_frames_);
     if (options_.max_columns > 0 &&
         controller_->column_count(merged_scratch_) > options_.max_columns) {
       flush();
@@ -104,18 +100,20 @@ void TransactionBatcher::enqueue(const config::ConfigOp& op) {
     pending_.label += " + " + op.label;
     pending_.actions.insert(pending_.actions.end(), op.actions.begin(),
                             op.actions.end());
-    pending_frames_.union_via(
-        op_frames_, [k = &controller_->kernel()](const std::int32_t* a, int na,
-                                                 const std::int32_t* b, int nb,
-                                                 std::vector<std::int32_t>& out) {
-          k->union_ids(a, na, b, nb, out);
-        });
+    pending_frames_.union_with(op_frames_);
     ++pending_ops_;
   }
+  // Keep the exemption keys sorted: sort this op's keys, merge them in.
+  const auto old_end = static_cast<std::ptrdiff_t>(pending_rewrites_.size());
   for (const config::ConfigAction& a : op.actions) {
     if (const auto* cw = std::get_if<config::CellWrite>(&a))
-      pending_rewrites_.insert({cw->clb.row, cw->clb.col, cw->cell});
+      pending_rewrites_.push_back(config::ConfigController::cell_key(
+          cw->clb.row, cw->clb.col, cw->cell));
   }
+  std::sort(pending_rewrites_.begin() + old_end, pending_rewrites_.end());
+  std::inplace_merge(pending_rewrites_.begin(),
+                     pending_rewrites_.begin() + old_end,
+                     pending_rewrites_.end());
   if (pending_ops_ >= options_.max_ops) flush();
 }
 

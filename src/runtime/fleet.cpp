@@ -73,8 +73,8 @@ FleetManager::FleetManager(FleetConfig config) : cfg_(std::move(config)) {
                 cfg_.health.fault_rate <= 1.0);
   RELOGIC_CHECK(cfg_.health.window_cols >= 1);
   RELOGIC_CHECK(cfg_.health.step_period_ms > 0.0);
-  // Resolve the kernel-backend name now so a typo fails at fleet start,
-  // not on a pool thread mid-run.
+  // FleetConfig::kernel is a source-compatibility field (kernel.hpp): only
+  // empty or the single implementation's name is accepted.
   if (!cfg_.kernel.empty())
     RELOGIC_CHECK_MSG(config::kernel_backend(cfg_.kernel) != nullptr,
                       "unknown kernel backend \"" + cfg_.kernel + "\"");
@@ -665,11 +665,7 @@ DeviceReport FleetManager::run_device(
   // — device bring-up is O(nodes), not the ~100 ms edge rebuild it was.
   fabric::Fabric fab(geom);
   if (cfg_.health.enabled()) faults.install(fab);
-  // Kernel backends are stateless const singletons — safe to share across
-  // the pool's workers (kernel.hpp).
-  const config::KernelBackend* kernel =
-      cfg_.kernel.empty() ? nullptr : config::kernel_backend(cfg_.kernel);
-  config::ConfigController controller(fab, port, plane.granularity, kernel);
+  config::ConfigController controller(fab, port, plane.granularity);
   controller.set_trace(tr.port);
   BatchOptions bopt = cfg_.batch;
   if (!cfg_.batch_config) bopt.max_ops = 1;
@@ -1020,9 +1016,6 @@ std::string FleetReport::to_json() const {
      << "\", \"overlap\": " << config.overlap << ", \"port\": \""
      << config::to_string(default_plane.port) << "\", \"granularity\": \""
      << config::to_string(default_plane.granularity)
-     << "\", \"kernel\": \""
-     << (config.kernel.empty() ? config::default_kernel_backend().name()
-                               : config.kernel)
      << "\", \"batching\": " << (config.batch_config ? "true" : "false")
      << ", \"batch_max_ops\": " << config.batch.max_ops
      << ", \"selftest\": " << (config.health.selftest ? "true" : "false")

@@ -43,9 +43,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "relogic/config/controller.hpp"
 
@@ -119,9 +119,10 @@ class TransactionBatcher {
   /// Scratch reused across enqueues (incoming op's set, gate trial union).
   config::FrameSet op_frames_;
   config::FrameSet merged_scratch_;
-  /// Cells written by the pending batch — the exemption set that makes the
-  /// enqueue-time LUT-RAM legality check match the per-op sequence.
-  std::set<config::ConfigController::CellKey> pending_rewrites_;
+  /// Cells written by the pending batch, as sorted cell keys — the
+  /// exemption set that makes the enqueue-time LUT-RAM legality check match
+  /// the per-op sequence. Duplicates are harmless (binary search).
+  std::vector<config::ConfigController::CellKey> pending_rewrites_;
   int pending_ops_ = 0;
   BatchStats stats_;
 };

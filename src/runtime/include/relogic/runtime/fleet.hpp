@@ -151,11 +151,9 @@ struct FleetConfig {
   /// pool) are a first-class scenario. Devices absent here use
   /// config_plane. Resolved via plane_for().
   std::map<int, ConfigPlaneSpec> device_config_planes;
-  /// Kernel backend for every device's configuration controller
-  /// ("serial", "openmp", "simd"; see config/kernel.hpp). Empty selects
-  /// the process default: $RELOGIC_KERNEL_BACKEND if set, else "simd".
-  /// The resolved name is echoed in the telemetry JSON header. Unknown
-  /// names throw at fleet start, not mid-run.
+  /// Source-compatibility field with no effect (config/kernel.hpp): empty
+  /// or the single implementation's name ("scalar"). Any other value
+  /// throws at fleet start.
   std::string kernel;
   /// Legacy flag: SelectMAP instead of Boundary-Scan. Kept for old callers;
   /// equivalent to config_plane.port = kSelectMap8 (only honoured while

@@ -70,9 +70,6 @@ struct Options {
   // the controller issues frames.
   config::PortBackend port = config::PortBackend::kJtag;
   config::WriteGranularity granularity = config::WriteGranularity::kColumn;
-  // Kernel backend for the config-plane hot loops; empty = process default
-  // ($RELOGIC_KERNEL_BACKEND if set, else "simd").
-  std::string kernel;
   // Per-device overrides for heterogeneous fleets (--device-plane).
   std::map<int, runtime::ConfigPlaneSpec> device_planes;
 
@@ -136,10 +133,6 @@ struct Options {
       "                         whose bytes are unchanged)\n"
       "  --device-plane D:P:G   fleet: override port/granularity for device\n"
       "                         D (repeatable; heterogeneous fleets)\n"
-      "  --kernel K             config-plane kernel backend: serial |\n"
-      "                         openmp | simd (default: the\n"
-      "                         $RELOGIC_KERNEL_BACKEND env var, else simd\n"
-      "                         with runtime AVX2/NEON dispatch)\n"
       "\n"
       "fleet mode (multi-device runtime):\n"
       "  --fleet N              run the fleet runtime with N devices\n"
@@ -363,11 +356,6 @@ Options parse_args(int argc, char** argv) {
       const auto g = config::parse_write_granularity(v);
       RELOGIC_CHECK_MSG(g.has_value(), "unknown write granularity: " + v);
       opt.granularity = *g;
-    } else if (arg == "--kernel") {
-      const std::string v = need(i);
-      RELOGIC_CHECK_MSG(config::kernel_backend(v) != nullptr,
-                        "unknown kernel backend: " + v);
-      opt.kernel = v;
     } else if (arg == "--device-plane") {
       // D:PORT:GRAN, e.g. 2:icap32:dirty
       const std::string v = need(i);
@@ -508,7 +496,6 @@ int run_fleet(const Options& opt) {
   cfg.devices = opt.fleet;
   cfg.config_plane = runtime::ConfigPlaneSpec{opt.port, opt.granularity};
   cfg.device_config_planes = opt.device_planes;
-  cfg.kernel = opt.kernel;
   cfg.health.selftest = opt.selftest;
   cfg.health.fault_rate = opt.fault_rate;
   cfg.health.fault_seed = opt.fault_seed.value_or(opt.seed);
@@ -544,16 +531,14 @@ int run_fleet(const Options& opt) {
 
   std::printf(
       "fleet run: %d devices (%dx%d), %s admission, dispatch %s, policy %s, "
-      "workload %s, port %s, granularity %s, kernel %s\n",
+      "workload %s, port %s, granularity %s\n",
       cfg.devices, cfg.rows, cfg.cols,
       runtime::to_string(cfg.admission).c_str(),
       runtime::to_string(cfg.dispatch).c_str(),
       sched::to_string(cfg.sched.policy).c_str(),
       sched::to_string(opt.workload).c_str(),
       config::to_string(cfg.default_plane().port).c_str(),
-      config::to_string(cfg.default_plane().granularity).c_str(),
-      cfg.kernel.empty() ? config::default_kernel_backend().name().c_str()
-                         : cfg.kernel.c_str());
+      config::to_string(cfg.default_plane().granularity).c_str());
   for (const auto& d : report.devices) {
     std::printf(
         "  device %d: %4lld admitted, %4lld done, %3lld rejected, "
@@ -636,9 +621,7 @@ int main(int argc, char** argv) {
     const std::unique_ptr<config::ConfigPort> port_owner =
         config::make_port(opt.port);
     const config::ConfigPort& port = *port_owner;
-    config::ConfigController controller(
-        fab, port, opt.granularity,
-        opt.kernel.empty() ? nullptr : config::kernel_backend(opt.kernel));
+    config::ConfigController controller(fab, port, opt.granularity);
     // Single-device tracing: one pid with a config-port lane (every
     // transaction the controller applies) and a health lane (the rover's
     // window spans), both on the cumulative port-busy clock.
@@ -854,16 +837,14 @@ int main(int argc, char** argv) {
     const auto totals = controller.totals();
     std::printf(
         "\nconfiguration summary: %d transactions, %d frames (%d "
-        "clean-skipped), %d columns, port busy %s (%s, %s granularity, "
-        "%s kernel)\n",
+        "clean-skipped), %d columns, port busy %s (%s, %s granularity)\n",
         totals.ops - totals_before.ops,
         totals.frames_written - totals_before.frames_written,
         totals.frames_skipped - totals_before.frames_skipped,
         totals.columns_touched - totals_before.columns_touched,
         (totals.time - totals_before.time).to_string().c_str(),
         port.name().c_str(),
-        config::to_string(controller.granularity()).c_str(),
-        controller.kernel().name().c_str());
+        config::to_string(controller.granularity()).c_str());
     if (!sim.monitor().clean()) {
       std::printf("monitor violations: %zu\n",
                   sim.monitor().violations().size());

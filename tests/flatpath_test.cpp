@@ -9,13 +9,16 @@
 // lockstep on randomized op streams — including the 8-cells-per-CLB
 // tiny_dense geometry whose frame layout exercises non-Virtex cell counts.
 //
-// Since the kernel-backend layer, the equivalence sweep runs every
-// registered KernelBackend (serial reference, openmp, simd) against the
-// same reference across all three granularities on tiny, tiny_dense and
-// the paper's XCV200 — this is the suite that enforces the backend
-// byte-identity contract of DESIGN.md §9.
+// The controller has exactly one implementation of each config-plane
+// decision (DESIGN.md §9), and this reference is its independent check:
+// per-op frame mapping, preview, apply, digests and totals; preview_sequence
+// against the reference applying the same ops in order; and the LUT-RAM
+// verdict against a check that derives its columns from the mapped frames.
+// Each runs at all three granularities on tiny, tiny_dense and the paper's
+// XCV200.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -27,7 +30,6 @@
 #include "relogic/config/controller.hpp"
 #include "relogic/config/frame_image.hpp"
 #include "relogic/config/frame_index.hpp"
-#include "relogic/config/kernel.hpp"
 #include "relogic/config/port.hpp"
 
 namespace relogic {
@@ -354,31 +356,68 @@ ConfigOp random_op(Rng& rng, const DeviceGeometry& geom, fabric::NetId net,
   return op;
 }
 
-// Sweep axes: geometry selector (tiny / tiny_dense / the paper's XCV200),
-// write granularity, and kernel backend name. Every registered backend is
-// driven through the same randomized stream against the same reference, so
-// byte-identity across backends follows from each one matching the
-// deterministic reference field-for-field.
+DeviceGeometry geometry(int geom_sel) {
+  return geom_sel == 0   ? DeviceGeometry::tiny(6, 6)
+         : geom_sel == 1 ? DeviceGeometry::tiny_dense(6, 6)
+                         : DeviceGeometry::xcv200();
+}
+
+const char* geometry_name(int geom_sel) {
+  return geom_sel == 0 ? "tiny" : geom_sel == 1 ? "tiny_dense" : "xcv200";
+}
+
+std::uint64_t geometry_seed(int geom_sel) {
+  return geom_sel == 1 ? 0xD15Eu : geom_sel == 2 ? 0x2C00u : 0xF1A7u;
+}
+
+void expect_same_result(const ApplyResult& got, const ApplyResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.frames_written, want.frames_written) << where;
+  EXPECT_EQ(got.frames_skipped, want.frames_skipped) << where;
+  EXPECT_EQ(got.columns_touched, want.columns_touched) << where;
+  EXPECT_EQ(got.time, want.time) << where;
+}
+
+/// Applies an op's actions straight to a fabric, bypassing the controller:
+/// the structural half of ConfigController::apply, for a mirror fabric the
+/// reference reads.
+void apply_structurally(Fabric& fab, const ConfigOp& op) {
+  for (const config::ConfigAction& a : op.actions) {
+    if (const auto* cw = std::get_if<config::CellWrite>(&a)) {
+      fab.set_cell_config(cw->clb, cw->cell, cw->cfg);
+    } else if (const auto* ec = std::get_if<config::EdgeChange>(&a)) {
+      const bool on = fab.net(ec->net).has_edge(ec->edge);
+      if (ec->add && !on) fab.add_edge(ec->net, ec->edge);
+      if (!ec->add && on) fab.remove_edge(ec->net, ec->edge);
+    } else if (const auto* sc = std::get_if<config::SourceChange>(&a)) {
+      const bool on = fab.net(sc->net).has_source(sc->node);
+      if (sc->attach && !on) fab.attach_source(sc->net, sc->node);
+      if (!sc->attach && on) fab.detach_source(sc->net, sc->node);
+    }
+  }
+}
+
+// Sweep axes: geometry selector (tiny / tiny_dense / the paper's XCV200)
+// and write granularity.
 class FlatPathEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<int, WriteGranularity, std::string>> {};
+    : public ::testing::TestWithParam<std::tuple<int, WriteGranularity>> {};
+
+std::string sweep_name(
+    const ::testing::TestParamInfo<std::tuple<int, WriteGranularity>>& p) {
+  return std::string(geometry_name(std::get<0>(p.param))) + "_" +
+         config::to_string(std::get<1>(p.param));
+}
 
 TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
-  const auto& [geom_sel, gran, backend_name] = GetParam();
-  const DeviceGeometry geom = geom_sel == 0   ? DeviceGeometry::tiny(6, 6)
-                              : geom_sel == 1 ? DeviceGeometry::tiny_dense(6, 6)
-                                              : DeviceGeometry::xcv200();
-  const config::KernelBackend* backend = config::kernel_backend(backend_name);
-  ASSERT_NE(backend, nullptr) << backend_name;
+  const auto& [geom_sel, gran] = GetParam();
+  const DeviceGeometry geom = geometry(geom_sel);
   Fabric fab(geom);
   config::BoundaryScanPort port;
-  config::ConfigController ctl(fab, port, gran, backend);
+  config::ConfigController ctl(fab, port, gran);
   ReferencePath ref(fab, port, gran);
   const auto net = fab.create_net("n");
 
-  // Seed depends on geometry only: all backends replay the identical
-  // stream for a given (geometry, granularity) cell.
-  Rng rng(geom_sel == 1 ? 0xD15Eu : geom_sel == 2 ? 0x2C00u : 0xF1A7u);
+  Rng rng(geometry_seed(geom_sel));
   ApplyResult ref_totals;
   for (int step = 0; step < 150; ++step) {
     const ConfigOp op = random_op(rng, geom, net, fab, step);
@@ -395,24 +434,17 @@ TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
     EXPECT_TRUE(std::equal(addrs.begin(), addrs.end(), ref_frames.begin()))
         << "step " << step;
 
-    // Preview agrees field by field.
-    const ApplyResult pre = ctl.preview(op);
-    EXPECT_EQ(pre.frames_written, ref_result.frames_written) << "step " << step;
-    EXPECT_EQ(pre.frames_skipped, ref_result.frames_skipped) << "step " << step;
-    EXPECT_EQ(pre.columns_touched, ref_result.columns_touched)
-        << "step " << step;
-    EXPECT_EQ(pre.time, ref_result.time) << "step " << step;
+    // Preview agrees field by field, counted and with the frames given.
+    const std::string where = "step " + std::to_string(step);
+    expect_same_result(ctl.preview(op), ref_result, where);
+    expect_same_result(ctl.preview(op, frames), ref_result, where);
 
     // Apply agrees too (no injected faults, so the reference's simulated
     // deltas equal apply's observed ones), and the shadow images stay in
     // lockstep.
     const ApplyResult got = ctl.apply(op);
     ref.commit(ref_deltas);
-    EXPECT_EQ(got.frames_written, ref_result.frames_written) << "step " << step;
-    EXPECT_EQ(got.frames_skipped, ref_result.frames_skipped) << "step " << step;
-    EXPECT_EQ(got.columns_touched, ref_result.columns_touched)
-        << "step " << step;
-    EXPECT_EQ(got.time, ref_result.time) << "step " << step;
+    expect_same_result(got, ref_result, where);
 
     ref_totals.frames_written += ref_result.frames_written;
     ref_totals.frames_skipped += ref_result.frames_skipped;
@@ -433,21 +465,201 @@ TEST_P(FlatPathEquivalence, MatchesSetMapReferenceOnRandomStreams) {
   EXPECT_EQ(ctl.totals().time, ref_totals.time);
 }
 
+TEST_P(FlatPathEquivalence, PreviewSequenceMatchesReferenceAppliedInOrder) {
+  const auto& [geom_sel, gran] = GetParam();
+  const DeviceGeometry geom = geometry(geom_sel);
+  config::BoundaryScanPort port;
+  // `fab` carries the controller under test, which only previews each
+  // sequence before applying it; `mirror` is advanced op by op, so the
+  // reference reads exactly the state each op of the sequence would see.
+  Fabric fab(geom);
+  Fabric mirror(geom);
+  config::ConfigController ctl(fab, port, gran);
+  ReferencePath ref(mirror, port, gran);
+  const auto net = fab.create_net("n");
+  ASSERT_EQ(mirror.create_net("n"), net);
+
+  Rng rng(geometry_seed(geom_sel) ^ 0x5E9u);
+  int step = 0;
+  int skipped = 0;
+  for (int seq = 0; seq < 25; ++seq) {
+    // Ops drawn against the state before the sequence, so later ops often
+    // rewrite or undo what earlier ones would write.
+    std::vector<ConfigOp> ops;
+    const int len = 2 + static_cast<int>(rng.next_u64() % 6);
+    for (int k = 0; k < len; ++k)
+      ops.push_back(random_op(rng, geom, net, fab, step++));
+
+    std::vector<ApplyResult> got;
+    std::vector<std::vector<FrameAddress>> got_written;
+    ctl.preview_sequence(ops, [&](std::size_t i, const ApplyResult& r,
+                                  const FrameSet& written) {
+      EXPECT_EQ(i, got.size());
+      got.push_back(r);
+      got_written.push_back(to_addresses(written, ctl.index()));
+    });
+    ASSERT_EQ(got.size(), ops.size());
+
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::string where =
+          "sequence " + std::to_string(seq) + " op " + std::to_string(i);
+      const std::set<FrameAddress> frames = ref.frames_of(ops[i]);
+      const auto deltas = ref.deltas_of(ops[i]);
+      const ApplyResult want = ref.price(frames, deltas);
+      expect_same_result(got[i], want, where);
+      skipped += want.frames_skipped;
+
+      // The written set: every mapped frame, or only the dirty ones.
+      std::set<FrameAddress> written = frames;
+      if (gran == WriteGranularity::kDirtyFrame) {
+        written.clear();
+        for (const auto& [f, d] : deltas)
+          if (d != 0) written.insert(f);
+      }
+      EXPECT_TRUE(std::equal(got_written[i].begin(), got_written[i].end(),
+                             written.begin(), written.end()))
+          << where;
+      apply_structurally(mirror, ops[i]);
+    }
+    for (const ConfigOp& op : ops) ctl.apply(op);
+  }
+  // The streams do exercise cross-op dirty skipping.
+  if (gran == WriteGranularity::kDirtyFrame) {
+    EXPECT_GT(skipped, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllBackendsGeometriesAndGranularities, FlatPathEquivalence,
+    GeometriesAndGranularities, FlatPathEquivalence,
     ::testing::Combine(
         ::testing::Values(0, 1, 2),
         ::testing::Values(WriteGranularity::kColumn, WriteGranularity::kFrame,
-                          WriteGranularity::kDirtyFrame),
-        ::testing::ValuesIn(config::kernel_backend_names())),
-    [](const auto& pinfo) {
-      const int geom_sel = std::get<0>(pinfo.param);
-      const char* g = geom_sel == 0   ? "tiny"
-                      : geom_sel == 1 ? "tiny_dense"
-                                      : "xcv200";
-      return std::string(g) + "_" + config::to_string(std::get<1>(pinfo.param)) +
-             "_" + std::get<2>(pinfo.param);
-    });
+                          WriteGranularity::kDirtyFrame)),
+    sweep_name);
+
+// ---- LUT-RAM legality --------------------------------------------------------
+
+using CellTuple = std::tuple<int, int, int>;
+
+/// The frame-derived LUT-RAM check: CLB columns taken from the reference
+/// frame mapping at one granularity, exemptions from the op's own writes
+/// plus `extra`. Returns the lowest violating column, or -1 when legal.
+int frame_derived_violation(const Fabric& fab, const ReferencePath& ref,
+                            const ConfigOp& op,
+                            const std::set<CellTuple>& extra) {
+  std::set<CellTuple> exempt = extra;
+  for (const config::ConfigAction& a : op.actions)
+    if (const auto* cw = std::get_if<config::CellWrite>(&a))
+      exempt.insert({cw->clb.row, cw->clb.col, cw->cell});
+  std::set<int> cols;
+  for (const FrameAddress& f : ref.frames_of(op))
+    if (f.type == ColumnType::kClb) cols.insert(f.column);
+  const auto& g = fab.geometry();
+  for (const int col : cols) {
+    for (int row = 0; row < g.clb_rows; ++row) {
+      for (int k = 0; k < g.cells_per_clb; ++k) {
+        const LogicCellConfig& cell = fab.cell(ClbCoord{row, col}, k);
+        if (cell.used && cell.lut_mode == fabric::LutMode::kRam &&
+            !exempt.contains({row, col, k}))
+          return col;
+      }
+    }
+  }
+  return -1;
+}
+
+class LutRamVerdict : public ::testing::TestWithParam<int> {};
+
+TEST_P(LutRamVerdict, MatchesFrameDerivedCheckWithBatcherExemptions) {
+  const int geom_sel = GetParam();
+  const DeviceGeometry geom = geometry(geom_sel);
+  Fabric fab(geom);
+  config::BoundaryScanPort port;
+  config::ConfigController ctl(fab, port, WriteGranularity::kDirtyFrame);
+  const ReferencePath refs[] = {
+      ReferencePath(fab, port, WriteGranularity::kColumn),
+      ReferencePath(fab, port, WriteGranularity::kFrame),
+      ReferencePath(fab, port, WriteGranularity::kDirtyFrame)};
+  const auto net = fab.create_net("n");
+  Rng rng(geometry_seed(geom_sel) ^ 0x1A7u);
+
+  LogicCellConfig ram;
+  ram.used = true;
+  ram.lut_mode = fabric::LutMode::kRam;
+  const auto random_cell = [&] {
+    return CellTuple{
+        static_cast<int>(rng.next_u64() % static_cast<unsigned>(geom.clb_rows)),
+        static_cast<int>(rng.next_u64() % static_cast<unsigned>(geom.clb_cols)),
+        static_cast<int>(rng.next_u64() %
+                         static_cast<unsigned>(geom.cells_per_clb))};
+  };
+  const auto write_ram = [&](ConfigOp& op) {
+    const auto [row, col, cell] = random_cell();
+    op.write_cell(ClbCoord{row, col}, cell, ram);
+  };
+  // Seed live LUT-RAM, about one cell per three columns.
+  ConfigOp seed("seed ram");
+  for (int i = 0; i < std::max(2, geom.clb_cols / 3); ++i) write_ram(seed);
+  ctl.apply(seed, /*allow_lut_ram_columns=*/true);
+
+  int throws = 0, passes = 0, flipped_by_extra = 0;
+  for (int step = 0; step < 300; ++step) {
+    ConfigOp op = random_op(rng, geom, net, fab, step);
+    if (rng.next_u64() % 4 == 0) write_ram(op);
+
+    // Batcher-style exemptions: cells a pending batch rewrites. Half the
+    // time they cover every live RAM cell of one column the op touches, so
+    // the exemptions decide the verdict; plus random noise cells.
+    std::set<CellTuple> extra;
+    for (int i = 0; i < 3; ++i) extra.insert(random_cell());
+    if (rng.next_u64() % 2 == 0) {
+      const std::set<FrameAddress> frames = refs[1].frames_of(op);
+      for (const FrameAddress& f : frames) {
+        if (f.type != ColumnType::kClb) continue;
+        for (int row = 0; row < geom.clb_rows; ++row)
+          for (int k = 0; k < geom.cells_per_clb; ++k)
+            if (fab.cell(ClbCoord{row, f.column}, k).lut_mode ==
+                fabric::LutMode::kRam)
+              extra.insert({row, f.column, k});
+        break;
+      }
+    }
+    std::vector<config::ConfigController::CellKey> keys;
+    for (const auto& [row, col, cell] : extra)
+      keys.push_back(config::ConfigController::cell_key(row, col, cell));
+    std::sort(keys.begin(), keys.end());
+
+    const std::string where = "step " + std::to_string(step);
+    const int want = frame_derived_violation(fab, refs[0], op, extra);
+    for (const ReferencePath& r : refs)
+      ASSERT_EQ(frame_derived_violation(fab, r, op, extra), want) << where;
+    if (want != frame_derived_violation(fab, refs[0], op, {}))
+      ++flipped_by_extra;
+
+    try {
+      ctl.check_lut_ram_columns(op, &keys);
+      EXPECT_EQ(want, -1) << where;
+      ++passes;
+    } catch (const IllegalOperationError& e) {
+      ASSERT_NE(want, -1) << where << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(
+                    "touches column " + std::to_string(want) + " "),
+                std::string::npos)
+          << where << ": " << e.what();
+      ++throws;
+    }
+    // Evolve the fabric: RAM cells appear and are cleared over the stream.
+    ctl.apply(op, /*allow_lut_ram_columns=*/true);
+  }
+  EXPECT_GT(throws, 0);
+  EXPECT_GT(passes, 0);
+  EXPECT_GT(flipped_by_extra, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, LutRamVerdict, ::testing::Values(0, 1, 2),
+                         [](const auto& p) {
+                           return std::string(geometry_name(p.param));
+                         });
 
 }  // namespace
 }  // namespace relogic
