@@ -20,11 +20,15 @@ regression nobody measured).
 The baseline records absolute times measured on one reference machine. To
 keep the gate from tripping on machine-speed differences between that
 machine and CI runners, the comparison is normalized when possible: if
-both reports carry the REFERENCE_METRIC (BM_RoutingGraphBuildCold at
-XCV1000 — CPU-bound, structurally unrelated to both guarded paths,
+both reports carry the REFERENCE_METRIC (BM_RoutingGraphBuildStaging at
+XCV1000 — the seed's serial staging build: CPU-bound, single-threaded like
+every guarded benchmark, structurally unrelated to the guarded paths,
 measured in the same run), each guarded time is divided by the same run's
 reference time, and the *ratio of ratios* is gated — a uniformly slower
-machine cancels out, a config-plane or placement regression does not.
+machine cancels out, a config-plane or placement regression does not. The
+reference must be serial: the multi-threaded cold build speeds up with the
+core count while the single-thread guarded times do not, so on a machine
+with more cores than the baseline's it would scale them up and fail them.
 Without the reference the guard falls back to raw times, where the 2x
 factor must also absorb hardware variance.
 
@@ -87,11 +91,11 @@ GUARDED_PREFIXES = (
     "BM_SimulatorCycles",
     "BM_GatedCellRelocation",
 )
-REFERENCE_METRIC = "BM_RoutingGraphBuildCold_8"
 
 # Routing-skeleton bring-up gates (within-run; see module docstring).
 SKELETON_COLD = "BM_RoutingGraphBuildCold_8"     # ms
 SKELETON_STAGING = "BM_RoutingGraphBuildStaging_8"  # ms
+REFERENCE_METRIC = SKELETON_STAGING
 SKELETON_SPEEDUP_MULTICORE = 5.0  # >= 4 CPUs: parallel fill + mirror engage
 SKELETON_SPEEDUP_SERIAL = 1.4     # < 4 CPUs: serial-only wins
 ACQUIRE_CACHED = "BM_FabricAcquireCached_8"  # us
@@ -106,7 +110,7 @@ OFF_GATES = (
 OFF_FACTOR = 1.05
 
 def load_metrics(path):
-    keep = (SKELETON_COLD, SKELETON_STAGING, ACQUIRE_CACHED, REFERENCE_METRIC)
+    keep = (SKELETON_COLD, SKELETON_STAGING, ACQUIRE_CACHED)
     with open(path) as f:
         doc = json.load(f)
     return {
@@ -186,15 +190,14 @@ def main(argv):
     failed_off_gates = not check_off_gates(current)
     failed_skeleton_gates = not check_skeleton_gates(current)
 
+    cur_ref = current.get(REFERENCE_METRIC)
+    base_ref = baseline.get(REFERENCE_METRIC)
     # The skeleton metrics are gated within-run above, not against the
     # baseline — drop them so the cross-run loop only sees the guarded
-    # families (staging is deliberately slow; acquire is in different units).
-    for name in (SKELETON_STAGING, ACQUIRE_CACHED):
+    # families (staging is the reference; acquire is in different units).
+    for name in (SKELETON_COLD, SKELETON_STAGING, ACQUIRE_CACHED):
         current.pop(name, None)
         baseline.pop(name, None)
-
-    cur_ref = current.pop(REFERENCE_METRIC, None)
-    base_ref = baseline.pop(REFERENCE_METRIC, None)
     scale = 1.0
     if cur_ref and base_ref and cur_ref > 0 and base_ref > 0:
         scale = base_ref / cur_ref

@@ -111,6 +111,45 @@ void GoldenSim::clock() {
   settle();
 }
 
+void GoldenSim::clock_held(std::int64_t n) {
+  RELOGIC_CHECK(n >= 0);
+  if (n == 0) return;
+  clock();
+  std::int64_t done = 1;
+  // Brent: the tortoise sits at a power-of-two checkpoint; the hare walks
+  // until it meets it (period `lam`) or passes the next checkpoint.
+  state_key(tortoise_);
+  std::int64_t power = 1;
+  std::int64_t lam = 0;
+  while (done < n) {
+    clock();
+    ++done;
+    ++lam;
+    if (state_equals(tortoise_)) {
+      for (std::int64_t i = (n - done) % lam; i > 0; --i) clock();
+      return;
+    }
+    if (lam == power) {
+      state_key(tortoise_);
+      power *= 2;
+      lam = 0;
+    }
+  }
+}
+
+void GoldenSim::state_key(std::vector<bool>& key) const {
+  key.clear();
+  for (SigId s : nl_->state_elements()) key.push_back(values_[s]);
+}
+
+bool GoldenSim::state_equals(const std::vector<bool>& key) const {
+  const auto& elems = nl_->state_elements();
+  for (std::size_t i = 0; i < elems.size(); ++i) {
+    if (values_[elems[i]] != key[i]) return false;
+  }
+  return true;
+}
+
 bool GoldenSim::output(const std::string& name) const {
   auto sig = nl_->find_output(name);
   RELOGIC_CHECK_MSG(sig.has_value(), "no output named " + name);

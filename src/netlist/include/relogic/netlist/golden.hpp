@@ -8,6 +8,7 @@
 // information or functional disturbance was observed".
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,15 @@ class GoldenSim {
   /// captures, then logic settles.
   void clock();
 
+  /// `n` rising edges with the inputs held: the same values as `n` calls
+  /// of clock(), in time independent of `n` once the state cycles. With
+  /// the inputs held, a settled model's next state is a function of its
+  /// state elements alone, so Brent's cycle detection over their values
+  /// finds the period λ and only `(n - done) mod λ` edges remain after it.
+  /// Detection starts after the first edge, whose capture may read an
+  /// unsettled model. Memory: two state keys.
+  void clock_held(std::int64_t n);
+
   bool value(SigId sig) const {
     RELOGIC_CHECK(sig < values_.size());
     return values_[sig];
@@ -49,12 +59,17 @@ class GoldenSim {
  private:
   void propagate_comb();
   bool eval_node(SigId id) const;
+  /// Copies the state-element values into `key`.
+  void state_key(std::vector<bool>& key) const;
+  bool state_equals(const std::vector<bool>& key) const;
 
   const Netlist* nl_;
   std::vector<SigId> order_;
   std::vector<bool> values_;
   /// clock()'s capture list, kept to reuse its allocation across edges.
   std::vector<std::pair<SigId, bool>> captures_;
+  /// clock_held()'s Brent tortoise, kept to reuse its allocation.
+  std::vector<bool> tortoise_;
 };
 
 }  // namespace relogic::netlist

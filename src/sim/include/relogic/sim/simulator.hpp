@@ -23,12 +23,12 @@
 
 #include <array>
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "relogic/common/time.hpp"
 #include "relogic/fabric/fabric.hpp"
+#include "relogic/sim/event_queue.hpp"
 #include "relogic/sim/monitor.hpp"
 
 namespace relogic::sim {
@@ -98,9 +98,11 @@ class FabricSim final : public fabric::FabricListener {
 
   std::int64_t events_processed() const { return events_processed_; }
 
-  /// Recomputes the flip-flop site index and the paralleled-net index by a
-  /// full scan and throws AuditError naming the first divergence
-  /// (DESIGN.md §11). Called at the end of run_until when audit_enabled().
+  /// Recomputes the maintained indexes by a full scan — the flip-flop edge
+  /// records, the paralleled-net index, the decoded net sources and sinks
+  /// and the per-source net lists — and throws AuditError naming the first
+  /// divergence (DESIGN.md §11). Called at the end of run_until when
+  /// audit_enabled().
   void audit() const;
 
   // ---- FabricListener --------------------------------------------------------
@@ -110,70 +112,121 @@ class FabricSim final : public fabric::FabricListener {
   void on_net_changed(fabric::NetId net) override;
 
  private:
-  enum class EventKind : std::uint8_t { kPinSet, kEval, kClockEdge, kQSet };
-  struct Event {
-    SimTime time;
-    std::uint64_t seq = 0;
-    EventKind kind;
-    fabric::NodeId node = fabric::kInvalidNode;  // kPinSet target
-    std::int32_t site = -1;                      // kEval / kQSet
-    bool value = false;
-    std::uint8_t domain = 0;  // kClockEdge
+  enum class EventKind : std::uint8_t {
+    kPinSet,     // cell input pin `site`/`port`
+    kPadSet,     // pad `node`, value slot `site`
+    kEval,       // LUT of `site`
+    kClockEdge,  // generator `site` of clocks_
+    kQSet,       // storage element of `site`
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
+  /// One pending event; its time is the queue bucket it sits in.
+  struct Event {
+    EventKind kind;
+    bool value = false;
+    std::uint8_t port = 0;  // kPinSet
+    std::int32_t site = -1;
+    fabric::NodeId node = fabric::kInvalidNode;  // kPinSet / kPadSet
   };
 
+  /// A net source decoded once when its net cache is built: cell output
+  /// `slot` = site * 2 + registered, or pad value slot `slot`.
+  struct Source {
+    fabric::NodeId node;
+    std::int32_t slot;
+    bool pad;
+  };
+  /// A net sink with its max routed path delay, decoded the same way: cell
+  /// input pin `site`/`port`, or pad value slot `site`.
+  struct Sink {
+    fabric::NodeId node;
+    SimTime delay;
+    std::int32_t site;
+    std::uint8_t port;
+    bool pad;
+  };
   struct NetCache {
-    std::vector<fabric::NodeId> sources;
-    std::vector<std::pair<fabric::NodeId, SimTime>> sinks;  // max path delay
+    std::vector<Source> sources;
+    std::vector<Sink> sinks;
+  };
+
+  /// What a clock edge needs of a flip-flop site, copied from its stored
+  /// config so an edge reads no Fabric state.
+  struct FfEdge {
+    std::int32_t site;
+    std::uint8_t domain;
+    bool uses_ce;
+    bool bypass;  ///< D is the BX pin, not the LUT
+    bool operator==(const FfEdge&) const = default;
+  };
+  static FfEdge ff_edge(int site, const fabric::LogicCellConfig& cfg) {
+    return FfEdge{site, cfg.clock_domain, cfg.uses_ce,
+                  cfg.d_src == fabric::DSrc::kBypass};
+  }
+
+  static constexpr std::uint8_t kPadUndriven = 0;
+  static constexpr std::uint8_t pad_state(bool value) {
+    return value ? 2 : 1;
+  }
+
+  struct Clock {
+    ClockSpec spec;
+    std::int64_t edges = 0;
+    bool halted = false;
   };
 
   int site_index(ClbCoord clb, int cell) const;
   ClbCoord site_clb(int site) const;
   int site_cell(int site) const;
+  int pad_slot(fabric::NodeId pad) const;
+  const Clock* find_clock(std::uint8_t domain) const;
 
-  void schedule(Event e);
-  void process(const Event& e);
-  void do_pin_set(fabric::NodeId node, bool value, SimTime t);
+  void schedule(SimTime t, Event e) { queue_.push(t, e); }
+  void schedule_sink(const Sink& sink, bool value, SimTime t);
+  void process(const Event& e, SimTime t);
+  void do_pin_set(int site, int port, fabric::NodeId node, bool value,
+                  SimTime t);
+  void do_pad_set(int slot, fabric::NodeId pad, bool value, SimTime t);
   void do_eval(int site, SimTime t);
   void do_q_set(int site, bool value, SimTime t);
-  void do_clock_edge(std::uint8_t domain, SimTime t);
-  /// Propagates the value of an output pin to all sinks of its nets.
-  void propagate_pin(fabric::NodeId pin, bool value, SimTime t);
+  void do_clock_edge(Clock& clock, int index, SimTime t);
+  /// Propagates a new source value to all sinks of the nets it drives.
+  void propagate(const std::vector<fabric::NetId>& nets, bool value,
+                 SimTime t);
   void rebuild_net_cache(fabric::NetId net);
-  bool source_pin_value(fabric::NodeId pin) const;
+  Source decode_source(fabric::NodeId pin) const;
+  bool source_value(const Source& src) const;
+  bool source_pin_value(fabric::NodeId pin) const {
+    return source_value(decode_source(pin));
+  }
   unsigned lut_input_vector(int site) const;
 
   fabric::Fabric* fabric_;
   const fabric::DelayModel* dm_;
   SimTime now_ = SimTime::zero();
-  std::uint64_t seq_ = 0;
   std::int64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  EventQueue<Event> queue_;
 
   // Dense per-site state (4 cells per CLB).
   std::vector<std::array<bool, 6>> pin_val_;  // I0..I3, CE, BX
   std::vector<bool> x_val_;
   std::vector<bool> q_val_;
-
-  std::unordered_map<fabric::NodeId, bool> pad_val_;
+  /// State of each pad, by pad_slot(): kPadUndriven or pad_state(value).
+  /// An undriven pad reads 0, but driving it to 0 is still a change.
+  std::vector<std::uint8_t> pad_val_;
 
   std::vector<NetCache> net_cache_;  // by net id
-  // Maintained indexes (DESIGN.md §11), both sorted ascending: the sites
-  // whose stored config is a used kFF cell, in the row -> column -> cell
-  // order a full-device scan visits them, and the nets whose cached
-  // sources number two or more.
-  std::vector<int> ff_sites_;
+  // Maintained indexes (DESIGN.md §11). `ff_edges_`: one record per site
+  // whose stored config is a used kFF cell, ascending site (the row ->
+  // column -> cell order a full-device scan visits them). `multi_src_nets_`:
+  // the ascending nets whose cached sources number two or more.
+  // `nets_of_out_`: the nets each cell output drives, by site * 2 +
+  // registered; `nets_of_pad_` the same for pads.
+  std::vector<FfEdge> ff_edges_;
   std::vector<fabric::NetId> multi_src_nets_;
-  std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pin_;
+  std::vector<std::vector<fabric::NetId>> nets_of_out_;
+  std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pad_;
 
-  std::vector<ClockSpec> clocks_;
-  std::unordered_map<std::uint8_t, std::int64_t> edges_seen_;
-  std::unordered_map<std::uint8_t, bool> clock_halted_;
+  std::vector<Clock> clocks_;
   GlitchMonitor monitor_;
 };
 

@@ -49,11 +49,13 @@ std::string index_divergence(const std::vector<T>& kept,
 FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
     : fabric_(&fabric), dm_(&dm) {
   const auto& geom = fabric_->geometry();
-  const std::size_t sites =
-      static_cast<std::size_t>(geom.clb_count()) * geom.cells_per_clb;
+  const std::size_t tiles = static_cast<std::size_t>(geom.clb_count());
+  const std::size_t sites = tiles * geom.cells_per_clb;
   pin_val_.assign(sites, {false, false, false, false, false, false});
   x_val_.assign(sites, false);
   q_val_.assign(sites, false);
+  pad_val_.assign(tiles * geom.pads_per_tile, kPadUndriven);
+  nets_of_out_.resize(sites * 2);
 
   fabric_->add_listener(this);
 
@@ -65,10 +67,10 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
         const auto& cfg = fabric_->cell(clb, k);
         if (!cfg.used) continue;
         const int site = site_index(clb, k);
-        if (is_ff(cfg)) ff_sites_.push_back(site);
+        if (is_ff(cfg)) ff_edges_.push_back(ff_edge(site, cfg));
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
-        schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
-                       fabric::kInvalidNode, site, false, 0});
+        schedule(now_ + dm_->lut_delay,
+                 Event{EventKind::kEval, false, 0, site});
       }
     }
   }
@@ -92,66 +94,77 @@ int FabricSim::site_cell(int site) const {
   return site % fabric_->geometry().cells_per_clb;
 }
 
+int FabricSim::pad_slot(NodeId pad) const {
+  const auto info = fabric_->graph().info(pad);
+  RELOGIC_CHECK(info.kind == NodeKind::kPad);
+  const auto& geom = fabric_->geometry();
+  return (info.tile.row * geom.clb_cols + info.tile.col) * geom.pads_per_tile +
+         info.a;
+}
+
+const FabricSim::Clock* FabricSim::find_clock(std::uint8_t domain) const {
+  for (const auto& c : clocks_) {
+    if (c.spec.domain == domain) return &c;
+  }
+  return nullptr;
+}
+
 void FabricSim::add_clock(ClockSpec spec) {
   RELOGIC_CHECK(spec.period > SimTime::zero());
-  for (const auto& c : clocks_) {
-    RELOGIC_CHECK_MSG(c.domain != spec.domain, "clock domain already defined");
-  }
-  clocks_.push_back(spec);
+  RELOGIC_CHECK_MSG(find_clock(spec.domain) == nullptr,
+                    "clock domain already defined");
+  clocks_.push_back(Clock{spec});
   SimTime first = spec.first_edge;
   while (first < now_) first += spec.period;
-  schedule(Event{first, ++seq_, EventKind::kClockEdge, fabric::kInvalidNode,
-                 -1, false, spec.domain});
+  schedule(first, Event{EventKind::kClockEdge, false, 0,
+                        static_cast<std::int32_t>(clocks_.size() - 1)});
 }
 
 bool FabricSim::has_clock(std::uint8_t domain) const {
-  for (const auto& c : clocks_) {
-    if (c.domain == domain) return true;
-  }
-  return false;
+  return find_clock(domain) != nullptr;
 }
 
 SimTime FabricSim::clock_period(std::uint8_t domain) const {
-  for (const auto& c : clocks_) {
-    if (c.domain == domain) return c.period;
-  }
+  if (const Clock* c = find_clock(domain)) return c->spec.period;
   throw ContractError("no clock defined for domain " + std::to_string(domain));
 }
 
 SimTime FabricSim::next_edge(std::uint8_t domain, SimTime from) const {
-  for (const auto& c : clocks_) {
-    if (c.domain != domain) continue;
-    if (from <= c.first_edge) return c.first_edge;
-    const std::int64_t k =
-        (from - c.first_edge).picoseconds() / c.period.picoseconds();
-    SimTime t = c.first_edge + c.period * k;
-    if (t < from) t += c.period;
-    return t;
+  const Clock* clock = find_clock(domain);
+  if (clock == nullptr) {
+    throw ContractError("no clock defined for domain " +
+                        std::to_string(domain));
   }
-  throw ContractError("no clock defined for domain " + std::to_string(domain));
+  const ClockSpec& c = clock->spec;
+  if (from <= c.first_edge) return c.first_edge;
+  const std::int64_t k =
+      (from - c.first_edge).picoseconds() / c.period.picoseconds();
+  SimTime t = c.first_edge + c.period * k;
+  if (t < from) t += c.period;
+  return t;
 }
 
 void FabricSim::drive_pad(NodeId pad, bool value) {
-  RELOGIC_CHECK(fabric_->graph().info(pad).kind == NodeKind::kPad);
-  auto it = pad_val_.find(pad);
-  if (it != pad_val_.end() && it->second == value) return;
-  pad_val_[pad] = value;
+  std::uint8_t& v = pad_val_[static_cast<std::size_t>(pad_slot(pad))];
+  if (v == pad_state(value)) return;
+  v = pad_state(value);
   monitor_.record_transition(pad, now_);
-  propagate_pin(pad, value, now_);
+  const auto it = nets_of_pad_.find(pad);
+  if (it != nets_of_pad_.end()) propagate(it->second, value, now_);
 }
 
 bool FabricSim::pad_value(NodeId pad) const {
-  auto it = pad_val_.find(pad);
-  return it != pad_val_.end() && it->second;
+  if (pad >= fabric_->graph().node_count() ||
+      fabric_->graph().info(pad).kind != NodeKind::kPad)
+    return false;
+  return pad_val_[static_cast<std::size_t>(pad_slot(pad))] == pad_state(true);
 }
 
 void FabricSim::run_until(SimTime t) {
   RELOGIC_CHECK(t >= now_);
-  while (!queue_.empty() && queue_.top().time <= t) {
-    const Event e = queue_.top();
-    queue_.pop();
-    now_ = e.time;
-    process(e);
+  while (!queue_.empty() && queue_.next_time() <= t) {
+    now_ = queue_.next_time();
+    process(queue_.pop(), now_);
     ++events_processed_;
   }
   now_ = t;
@@ -194,21 +207,22 @@ bool FabricSim::net_value(NetId net) const {
   return source_pin_value(tree.sources.front());
 }
 
-bool FabricSim::source_pin_value(NodeId pin) const {
+FabricSim::Source FabricSim::decode_source(NodeId pin) const {
   const auto info = fabric_->graph().info(pin);
   switch (info.kind) {
-    case NodeKind::kOutPin: {
-      const int site = site_index(info.tile, info.a);
-      return info.b ? q_val_[static_cast<std::size_t>(site)]
-                    : x_val_[static_cast<std::size_t>(site)];
-    }
-    case NodeKind::kPad: {
-      auto it = pad_val_.find(pin);
-      return it != pad_val_.end() && it->second;
-    }
+    case NodeKind::kOutPin:
+      return Source{pin, site_index(info.tile, info.a) * 2 + info.b, false};
+    case NodeKind::kPad:
+      return Source{pin, pad_slot(pin), true};
     default:
       throw ContractError("node is not a net source: " + info.to_string());
   }
+}
+
+bool FabricSim::source_value(const Source& src) const {
+  const auto slot = static_cast<std::size_t>(src.slot);
+  if (src.pad) return pad_val_[slot] == pad_state(true);
+  return (slot & 1) != 0 ? q_val_[slot / 2] : x_val_[slot / 2];
 }
 
 unsigned FabricSim::lut_input_vector(int site) const {
@@ -218,164 +232,139 @@ unsigned FabricSim::lut_input_vector(int site) const {
   return vec;
 }
 
-void FabricSim::schedule(Event e) { queue_.push(e); }
+void FabricSim::schedule_sink(const Sink& sink, bool value, SimTime t) {
+  schedule(t + sink.delay,
+           Event{sink.pad ? EventKind::kPadSet : EventKind::kPinSet, value,
+                 sink.port, sink.site, sink.node});
+}
 
-void FabricSim::process(const Event& e) {
+void FabricSim::process(const Event& e, SimTime t) {
   switch (e.kind) {
     case EventKind::kPinSet:
-      do_pin_set(e.node, e.value, e.time);
+      do_pin_set(e.site, e.port, e.node, e.value, t);
+      break;
+    case EventKind::kPadSet:
+      do_pad_set(e.site, e.node, e.value, t);
       break;
     case EventKind::kEval:
-      do_eval(e.site, e.time);
+      do_eval(e.site, t);
       break;
     case EventKind::kQSet:
-      do_q_set(e.site, e.value, e.time);
+      do_q_set(e.site, e.value, t);
       break;
     case EventKind::kClockEdge:
-      do_clock_edge(e.domain, e.time);
+      do_clock_edge(clocks_[static_cast<std::size_t>(e.site)], e.site, t);
       break;
   }
 }
 
-void FabricSim::do_pin_set(NodeId node, bool value, SimTime t) {
-  const auto info = fabric_->graph().info(node);
-  if (info.kind == NodeKind::kPad) {
-    auto it = pad_val_.find(node);
-    const bool old = it != pad_val_.end() && it->second;
-    if (old == value && it != pad_val_.end()) return;
-    pad_val_[node] = value;
-    if (old != value) monitor_.record_transition(node, t);
-    return;
-  }
-  RELOGIC_CHECK(info.kind == NodeKind::kInPin);
-  const int site = site_index(info.tile, info.a);
-  const int port = info.b;
+void FabricSim::do_pad_set(int slot, NodeId pad, bool value, SimTime t) {
+  std::uint8_t& v = pad_val_[static_cast<std::size_t>(slot)];
+  const bool old = v == pad_state(true);
+  v = pad_state(value);
+  if (old != value) monitor_.record_transition(pad, t);
+}
+
+void FabricSim::do_pin_set(int site, int port, NodeId node, bool value,
+                           SimTime t) {
   auto& pins = pin_val_[static_cast<std::size_t>(site)];
   if (pins[static_cast<std::size_t>(port)] == value) return;
   pins[static_cast<std::size_t>(port)] = value;
   monitor_.record_transition(node, t);
 
-  const auto& cfg = fabric_->cell(info.tile, info.a);
+  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
   if (!cfg.used) return;
   if (port < 4) {
-    schedule(Event{t + dm_->lut_delay, ++seq_, EventKind::kEval,
-                   fabric::kInvalidNode, site, false, 0});
+    schedule(t + dm_->lut_delay, Event{EventKind::kEval, false, 0, site});
   } else if (port == 4) {
     // CE pin: latch transparency opening captures the current D value.
     if (cfg.reg == fabric::RegMode::kLatch && value) {
       const bool d = cfg.d_src == fabric::DSrc::kBypass
                          ? pins[5]
                          : x_val_[static_cast<std::size_t>(site)];
-      schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                     fabric::kInvalidNode, site, d, 0});
+      schedule(t + dm_->latch_d_to_q, Event{EventKind::kQSet, d, 0, site});
     }
   } else {
     // BX bypass pin: transparent latches in bypass mode follow it.
     if (cfg.reg == fabric::RegMode::kLatch &&
         cfg.d_src == fabric::DSrc::kBypass && pins[4]) {
-      schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                     fabric::kInvalidNode, site, value, 0});
+      schedule(t + dm_->latch_d_to_q,
+               Event{EventKind::kQSet, value, 0, site});
     }
   }
 }
 
 void FabricSim::do_eval(int site, SimTime t) {
-  const ClbCoord clb = site_clb(site);
-  const int cell = site_cell(site);
-  const auto& cfg = fabric_->cell(clb, cell);
+  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
   if (!cfg.used) return;
   const bool x = cfg.eval(lut_input_vector(site));
   if (x == x_val_[static_cast<std::size_t>(site)]) return;
   x_val_[static_cast<std::size_t>(site)] = x;
-  propagate_pin(fabric_->graph().out_pin(clb, cell, false), x, t);
+  propagate(nets_of_out_[static_cast<std::size_t>(site) * 2], x, t);
   if (cfg.reg == fabric::RegMode::kLatch &&
       cfg.d_src == fabric::DSrc::kLut &&
       pin_val_[static_cast<std::size_t>(site)][4]) {
-    schedule(Event{t + dm_->latch_d_to_q, ++seq_, EventKind::kQSet,
-                   fabric::kInvalidNode, site, x, 0});
+    schedule(t + dm_->latch_d_to_q, Event{EventKind::kQSet, x, 0, site});
   }
 }
 
 void FabricSim::do_q_set(int site, bool value, SimTime t) {
   if (q_val_[static_cast<std::size_t>(site)] == value) return;
-  const ClbCoord clb = site_clb(site);
-  const int cell = site_cell(site);
-  const auto& cfg = fabric_->cell(clb, cell);
+  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
   if (!cfg.used) return;
   q_val_[static_cast<std::size_t>(site)] = value;
-  propagate_pin(fabric_->graph().out_pin(clb, cell, true), value, t);
+  propagate(nets_of_out_[static_cast<std::size_t>(site) * 2 + 1], value, t);
 }
 
 std::int64_t FabricSim::edges_seen(std::uint8_t domain) const {
-  auto it = edges_seen_.find(domain);
-  return it == edges_seen_.end() ? 0 : it->second;
+  const Clock* c = find_clock(domain);
+  return c == nullptr ? 0 : c->edges;
 }
 
 void FabricSim::set_clock_running(std::uint8_t domain, bool running) {
   RELOGIC_CHECK_MSG(has_clock(domain), "no clock defined for the domain");
-  clock_halted_[domain] = !running;
+  for (auto& c : clocks_) {
+    if (c.spec.domain == domain) c.halted = !running;
+  }
 }
 
 bool FabricSim::clock_running(std::uint8_t domain) const {
-  auto it = clock_halted_.find(domain);
-  return it == clock_halted_.end() || !it->second;
+  const Clock* c = find_clock(domain);
+  return c == nullptr || !c->halted;
 }
 
-void FabricSim::do_clock_edge(std::uint8_t domain, SimTime t) {
-  if (!clock_running(domain)) {
-    // Halted domain: the generator keeps its phase, nothing captures.
-    for (const auto& spec : clocks_) {
-      if (spec.domain == domain) {
-        schedule(Event{t + spec.period, ++seq_, EventKind::kClockEdge,
-                       fabric::kInvalidNode, -1, false, domain});
-        break;
+void FabricSim::do_clock_edge(Clock& clock, int index, SimTime t) {
+  if (!clock.halted) {
+    ++clock.edges;
+    monitor_.on_clock_edge(t);
+    check_drive_coherence();
+
+    // Ascending site order is the row -> column -> cell order of a full
+    // device scan, so captures are queued in the same order.
+    const std::uint8_t domain = clock.spec.domain;
+    for (const FfEdge& ff : ff_edges_) {
+      if (ff.domain != domain) continue;
+      const auto site = static_cast<std::size_t>(ff.site);
+      if (ff.uses_ce && !pin_val_[site][4]) continue;
+      const bool d = ff.bypass ? pin_val_[site][5] : x_val_[site];
+      if (d != q_val_[site]) {
+        schedule(t + dm_->clk_to_q, Event{EventKind::kQSet, d, 0, ff.site});
       }
     }
-    return;
   }
-  ++edges_seen_[domain];
-  monitor_.on_clock_edge(t);
-  check_drive_coherence();
-
-  // Ascending site order is the row -> column -> cell order of a full
-  // device scan, so captures get the same sequence numbers.
-  for (const int site : ff_sites_) {
-    const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
-    if (cfg.clock_domain != domain) continue;
-    const bool ce =
-        !cfg.uses_ce || pin_val_[static_cast<std::size_t>(site)][4];
-    if (!ce) continue;
-    const bool d = cfg.d_src == fabric::DSrc::kBypass
-                       ? pin_val_[static_cast<std::size_t>(site)][5]
-                       : x_val_[static_cast<std::size_t>(site)];
-    if (d != q_val_[static_cast<std::size_t>(site)]) {
-      schedule(Event{t + dm_->clk_to_q, ++seq_, EventKind::kQSet,
-                     fabric::kInvalidNode, site, d, 0});
-    }
-  }
-
-  // Next edge.
-  for (const auto& spec : clocks_) {
-    if (spec.domain == domain) {
-      schedule(Event{t + spec.period, ++seq_, EventKind::kClockEdge,
-                     fabric::kInvalidNode, -1, false, domain});
-      break;
-    }
-  }
+  // Next edge; a halted generator keeps its phase.
+  schedule(t + clock.spec.period,
+           Event{EventKind::kClockEdge, false, 0, index});
 }
 
-void FabricSim::propagate_pin(NodeId pin, bool value, SimTime t) {
-  auto it = nets_of_pin_.find(pin);
-  if (it == nets_of_pin_.end()) return;
-  for (NetId net : it->second) {
-    const NetCache& cache = net_cache_[net];
+void FabricSim::propagate(const std::vector<NetId>& nets, bool value,
+                          SimTime t) {
+  for (NetId net : nets) {
     // Multi-source nets: the paralleled drivers are functionally identical
     // (verified by check_drive_coherence), so last-write-wins per sink is
     // the settled value; skew between them is the Fig. 6 fuzziness.
-    for (const auto& [sink, delay] : cache.sinks) {
-      schedule(Event{t + delay, ++seq_, EventKind::kPinSet, sink, -1, value,
-                     0});
-    }
+    for (const Sink& sink : net_cache_[net].sinks)
+      schedule_sink(sink, value, t);
   }
 }
 
@@ -384,9 +373,12 @@ void FabricSim::rebuild_net_cache(NetId net) {
   NetCache& cache = net_cache_[net];
 
   // Unregister old source mappings.
-  for (NodeId s : cache.sources) {
-    auto it = nets_of_pin_.find(s);
-    if (it != nets_of_pin_.end()) std::erase(it->second, net);
+  for (const Source& s : cache.sources) {
+    if (!s.pad) {
+      std::erase(nets_of_out_[static_cast<std::size_t>(s.slot)], net);
+    } else if (auto it = nets_of_pad_.find(s.node); it != nets_of_pad_.end()) {
+      std::erase(it->second, net);
+    }
   }
   cache = NetCache{};
   if (!fabric_->net_exists(net)) {
@@ -395,9 +387,16 @@ void FabricSim::rebuild_net_cache(NetId net) {
   }
 
   const auto& tree = fabric_->net(net);
-  cache.sources = tree.sources;
+  for (NodeId s : tree.sources) {
+    const Source src = decode_source(s);
+    cache.sources.push_back(src);
+    if (src.pad) {
+      nets_of_pad_[s].push_back(net);
+    } else {
+      nets_of_out_[static_cast<std::size_t>(src.slot)].push_back(net);
+    }
+  }
   set_member(multi_src_nets_, net, cache.sources.size() >= 2);
-  for (NodeId s : cache.sources) nets_of_pin_[s].push_back(net);
 
   // Forward traversal from sources accumulating the max delay per node;
   // tolerates partially built trees (unreachable sinks are simply absent).
@@ -411,7 +410,7 @@ void FabricSim::rebuild_net_cache(NetId net) {
   };
   const int limit = static_cast<int>(tree.edges.size()) + 2;
   std::vector<Item> stack;
-  for (NodeId s : cache.sources) stack.push_back({s, SimTime::zero(), 0});
+  for (NodeId s : tree.sources) stack.push_back({s, SimTime::zero(), 0});
   const auto& graph = fabric_->graph();
   while (!stack.empty()) {
     const Item it = stack.back();
@@ -431,10 +430,12 @@ void FabricSim::rebuild_net_cache(NetId net) {
     }
   }
   for (const auto& [node, d] : max_delay) {
-    const NodeKind k = graph.info(node).kind;
-    if (k == NodeKind::kInPin ||
-        (k == NodeKind::kPad && !tree.has_source(node))) {
-      cache.sinks.emplace_back(node, d);
+    const auto info = graph.info(node);
+    if (info.kind == NodeKind::kInPin) {
+      cache.sinks.push_back(
+          Sink{node, d, site_index(info.tile, info.a), info.b, false});
+    } else if (info.kind == NodeKind::kPad && !tree.has_source(node)) {
+      cache.sinks.push_back(Sink{node, d, pad_slot(node), 0, true});
     }
   }
 }
@@ -443,7 +444,19 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
                                 const fabric::LogicCellConfig& before,
                                 const fabric::LogicCellConfig& after) {
   const int site = site_index(clb, cell);
-  set_member(ff_sites_, site, is_ff(after));
+  const auto it = std::lower_bound(
+      ff_edges_.begin(), ff_edges_.end(), site,
+      [](const FfEdge& ff, int s) { return ff.site < s; });
+  const bool present = it != ff_edges_.end() && it->site == site;
+  if (is_ff(after)) {
+    if (present) {
+      *it = ff_edge(site, after);
+    } else {
+      ff_edges_.insert(it, ff_edge(site, after));
+    }
+  } else if (present) {
+    ff_edges_.erase(it);
+  }
   if (!before.used && after.used) {
     q_val_[static_cast<std::size_t>(site)] = after.init;
     // Refresh inputs: routed pins read their net's current value; unrouted
@@ -459,12 +472,12 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
           !fabric_->net(net).sources.empty()) {
         value = source_pin_value(fabric_->net(net).sources.front());
       }
-      schedule(Event{now_, ++seq_, EventKind::kPinSet, pin, -1, value, 0});
+      schedule(now_, Event{EventKind::kPinSet, value,
+                           static_cast<std::uint8_t>(p), site, pin});
     }
   }
   if (after.used) {
-    schedule(Event{now_ + dm_->lut_delay, ++seq_, EventKind::kEval,
-                   fabric::kInvalidNode, site, false, 0});
+    schedule(now_ + dm_->lut_delay, Event{EventKind::kEval, false, 0, site});
   }
 }
 
@@ -473,22 +486,19 @@ void FabricSim::on_net_changed(NetId net) {
   if (!fabric_->net_exists(net)) return;
   const NetCache& cache = net_cache_[net];
   if (cache.sources.empty()) return;
-  const bool v = source_pin_value(cache.sources.front());
-  for (const auto& [sink, delay] : cache.sinks) {
-    schedule(
-        Event{now_ + delay, ++seq_, EventKind::kPinSet, sink, -1, v, 0});
-  }
+  const bool v = source_value(cache.sources.front());
+  for (const Sink& sink : cache.sinks) schedule_sink(sink, v, now_);
 }
 
 void FabricSim::check_drive_coherence() {
   for (const NetId net : multi_src_nets_) {
     if (!fabric_->net_exists(net)) continue;
     const NetCache& cache = net_cache_[net];
-    const bool v0 = source_pin_value(cache.sources.front());
+    const bool v0 = source_value(cache.sources.front());
     for (std::size_t i = 1; i < cache.sources.size(); ++i) {
-      if (source_pin_value(cache.sources[i]) != v0) {
+      if (source_value(cache.sources[i]) != v0) {
         monitor_.add_violation(Violation{
-            ViolationKind::kDriveConflict, now_, cache.sources[i],
+            ViolationKind::kDriveConflict, now_, cache.sources[i].node,
             "paralleled sources of net '" + fabric_->net(net).name +
                 "' disagree at a clock edge"});
         break;
@@ -500,27 +510,86 @@ void FabricSim::check_drive_coherence() {
 void FabricSim::audit() const {
   constexpr const char* kWhere = "FabricSim";
   const auto& geom = fabric_->geometry();
-  std::vector<int> ff;
+  const auto& graph = fabric_->graph();
+
+  std::vector<FfEdge> ff;
   for (int r = 0; r < geom.clb_rows; ++r) {
     for (int c = 0; c < geom.clb_cols; ++c) {
       for (int k = 0; k < geom.cells_per_clb; ++k) {
-        if (is_ff(fabric_->cell(ClbCoord{r, c}, k)))
-          ff.push_back(site_index(ClbCoord{r, c}, k));
+        const auto& cfg = fabric_->cell(ClbCoord{r, c}, k);
+        if (is_ff(cfg))
+          ff.push_back(ff_edge(site_index(ClbCoord{r, c}, k), cfg));
       }
     }
   }
-  const std::string ff_diff = index_divergence(ff_sites_, ff);
-  RELOGIC_AUDIT_CHECK(ff_diff.empty(), kWhere,
-                      "flip-flop site index: site " + ff_diff);
+  const auto [k, f] =
+      std::mismatch(ff_edges_.begin(), ff_edges_.end(), ff.begin(), ff.end());
+  if (k != ff_edges_.end() || f != ff.end()) {
+    const int site = k == ff_edges_.end() ? f->site
+                     : f == ff.end()      ? k->site
+                                          : std::min(k->site, f->site);
+    RELOGIC_AUDIT_CHECK(false, kWhere,
+                        "flip-flop edge record: site " + std::to_string(site) +
+                            " missing or stale");
+  }
 
   std::vector<NetId> multi;
+  std::vector<std::vector<NetId>> out_nets(nets_of_out_.size());
+  std::unordered_map<NodeId, std::vector<NetId>> pad_nets;
   for (NetId net = 1; net < net_cache_.size(); ++net) {
-    if (fabric_->net_exists(net) && net_cache_[net].sources.size() >= 2)
+    const NetCache& cache = net_cache_[net];
+    if (fabric_->net_exists(net) && cache.sources.size() >= 2)
       multi.push_back(net);
+    for (const Source& s : cache.sources) {
+      const Source fresh = decode_source(s.node);
+      RELOGIC_AUDIT_CHECK(fresh.slot == s.slot && fresh.pad == s.pad, kWhere,
+                          "net " + std::to_string(net) + " source " +
+                              std::to_string(s.node) + " decoded stale");
+      if (s.pad) {
+        pad_nets[s.node].push_back(net);
+      } else {
+        out_nets[static_cast<std::size_t>(s.slot)].push_back(net);
+      }
+    }
+    for (const Sink& s : cache.sinks) {
+      const auto info = graph.info(s.node);
+      const bool ok =
+          s.pad ? info.kind == NodeKind::kPad && s.site == pad_slot(s.node)
+                : info.kind == NodeKind::kInPin &&
+                      s.site == site_index(info.tile, info.a) &&
+                      s.port == info.b;
+      RELOGIC_AUDIT_CHECK(ok, kWhere,
+                          "net " + std::to_string(net) + " sink " +
+                              std::to_string(s.node) + " decoded stale");
+    }
   }
   const std::string net_diff = index_divergence(multi_src_nets_, multi);
   RELOGIC_AUDIT_CHECK(net_diff.empty(), kWhere,
                       "paralleled-net index: net " + net_diff);
+
+  // The per-source net lists keep attach order; compare them as sets.
+  auto same_nets = [](std::vector<NetId> kept, std::vector<NetId> fresh) {
+    std::sort(kept.begin(), kept.end());
+    std::sort(fresh.begin(), fresh.end());
+    return kept == fresh;
+  };
+  for (std::size_t slot = 0; slot < out_nets.size(); ++slot) {
+    RELOGIC_AUDIT_CHECK(same_nets(nets_of_out_[slot], out_nets[slot]), kWhere,
+                        "out-pin net list: site " + std::to_string(slot / 2) +
+                            (slot % 2 != 0 ? " XQ" : " X") + " stale");
+  }
+  for (const auto& [pad, nets] : nets_of_pad_) {
+    const auto it = pad_nets.find(pad);
+    RELOGIC_AUDIT_CHECK(
+        same_nets(nets, it == pad_nets.end() ? std::vector<NetId>{}
+                                             : it->second),
+        kWhere, "pad net list: pad " + std::to_string(pad) + " stale");
+  }
+  for (const auto& [pad, nets] : pad_nets) {
+    RELOGIC_AUDIT_CHECK(nets_of_pad_.contains(pad), kWhere,
+                        "pad net list: pad " + std::to_string(pad) +
+                            " missing");
+  }
 }
 
 }  // namespace relogic::sim

@@ -1,14 +1,16 @@
 // FabricSim's maintained indexes (DESIGN.md §11).
 //
-// The simulator keeps two sorted flat vectors so a clock edge costs what
-// the live circuit costs, not what the device costs: the sites holding an
-// edge-triggered flip-flop, and the nets with paralleled sources. Two kinds
-// of test pin them down:
+// The simulator keeps flat indexes so a clock edge costs what the live
+// circuit costs, not what the device costs: one edge record per
+// edge-triggered flip-flop, the nets with paralleled sources, each net's
+// decoded sources and sinks, and the nets each cell output drives. Two
+// kinds of test pin them down:
 //
 //  * a seeded random stream of every mutation that can reach the indexes
-//    (cell writes, fault injection, capture/restore, net source edits,
-//    clocking with a halted domain), with FabricSim::audit() — a from-
-//    scratch recompute of both indexes — required to pass after every op;
+//    (cell writes, in-place flip-flop edits, fault injection,
+//    capture/restore, net source edits, clocking with a halted domain),
+//    with FabricSim::audit() — a from-scratch recompute of the indexes —
+//    required to pass after every op;
 //  * the simulated outcome of a live gated-clock relocation, pinned to the
 //    values the full-device scan produced. The event count and the final
 //    flip-flop states only stay equal if every clock edge schedules the
@@ -104,13 +106,14 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
   bool shrinking = false;
   std::optional<Fabric::State> snapshot;
   int ff_writes = 0;
+  int ff_edits = 0;
   int faults = 0;
   int restores = 0;
   int nets_deleted = 0;
   std::size_t max_sources = 0;
 
   for (int op = 0; op < 2000; ++op) {
-    switch (rng.next_int(0, 7)) {
+    switch (rng.next_int(0, 8)) {
       case 0:
       case 1: {
         const auto cfg = random_cell(rng);
@@ -175,6 +178,27 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
         sim.run_cycles(rng.next_int(1, 3),
                        static_cast<std::uint8_t>(rng.next_int(0, 1)));
         break;
+      case 7: {
+        // A flip-flop stays one while its clock domain, CE use and D source
+        // change in place: its edge record must follow.
+        const ClbCoord clb = random_clb();
+        const int cell = rng.next_int(0, geom.cells_per_clb - 1);
+        auto cfg = fab.cell(clb, cell);
+        if (!cfg.used || cfg.reg != fabric::RegMode::kFF) {
+          cfg = random_cell(rng);
+          cfg.used = true;
+          cfg.reg = fabric::RegMode::kFF;
+          fab.set_cell_config(clb, cell, cfg);
+          ASSERT_NO_THROW(sim.audit()) << "op " << op << " (FF write)";
+        }
+        cfg.clock_domain = static_cast<std::uint8_t>(cfg.clock_domain ^ 1);
+        cfg.uses_ce = !cfg.uses_ce;
+        cfg.d_src = cfg.d_src == fabric::DSrc::kLut ? fabric::DSrc::kBypass
+                                                    : fabric::DSrc::kLut;
+        fab.set_cell_config(clb, cell, cfg);
+        ++ff_edits;
+        break;
+      }
       default:
         sim.set_clock_running(static_cast<std::uint8_t>(rng.next_int(0, 1)),
                               rng.next_bool());
@@ -185,6 +209,7 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
 
   // The stream reached every kind of mutation it is meant to cover.
   EXPECT_GT(ff_writes, 0);
+  EXPECT_GT(ff_edits, 0);
   EXPECT_GT(faults, 0);
   EXPECT_GT(restores, 0);
   EXPECT_GT(nets_deleted, 0);
