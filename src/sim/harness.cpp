@@ -71,6 +71,14 @@ CircuitHarness::CycleResult CircuitHarness::step(
   const std::uint8_t domain = impl_->clock_domain;
   const SimTime period = sim_->clock_period(domain);
 
+  // Inputs change half a period before the edge that captures them, as in
+  // every regular step. A reconfiguration may leave the fabric later in the
+  // cycle than that, too close to the edge for the paths through a distant
+  // replica to settle; the fabric then crosses that edge with the inputs
+  // held, like every other edge of the reconfiguration.
+  const SimTime next = sim_->next_edge(domain, sim_->now() + SimTime::ps(1));
+  if (next - sim_->now() < period / 2) sim_->run_until(next + period / 2);
+
   // The fabric may have clocked on while a reconfiguration ran (the
   // application never stops); replay those edges into the golden model
   // with the inputs held at their previous values.

@@ -46,10 +46,17 @@ class GlitchMonitor {
     return watched_.contains(node);
   }
 
-  /// Called by the simulator on every value change of a watched node.
-  void record_transition(fabric::NodeId node, SimTime time);
-  /// Called by the simulator at each clock edge: closes the window.
-  void on_clock_edge(SimTime time);
+  /// Called by the simulator on every value change of a pin or pad. A node
+  /// whose id matches no watched id modulo 64 is rejected without a hash
+  /// lookup; a match falls through to the lookup, so a collision costs
+  /// time, never correctness.
+  void record_transition(fabric::NodeId node, SimTime time) {
+    if ((filter_ >> (node & 63u) & 1u) != 0) record_filtered(node, time);
+  }
+  /// Called by the simulator at each clock edge: closes the window. Each
+  /// watch restarts its count the first time it transitions in a later
+  /// window, so an edge costs the same however many nodes are watched.
+  void on_clock_edge(SimTime) { ++window_; }
 
   void add_violation(Violation v) { violations_.push_back(std::move(v)); }
 
@@ -64,9 +71,16 @@ class GlitchMonitor {
  private:
   struct Watch {
     std::string label;
-    int transitions_this_window = 0;
+    std::uint64_t window;  ///< the window `transitions` counts in
+    int transitions = 0;
   };
+  void record_filtered(fabric::NodeId node, SimTime time);
+
   std::unordered_map<fabric::NodeId, Watch> watched_;
+  /// Bit `id & 63` is set for every watched id.
+  std::uint64_t filter_ = 0;
+  /// Clock edges seen: the number of the open window.
+  std::uint64_t window_ = 0;
   std::vector<Violation> violations_;
   std::int64_t transitions_ = 0;
 };

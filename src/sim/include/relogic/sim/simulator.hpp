@@ -21,7 +21,6 @@
 // inertial-delay semantics: pulses shorter than the LUT delay are absorbed.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -98,11 +97,11 @@ class FabricSim final : public fabric::FabricListener {
 
   std::int64_t events_processed() const { return events_processed_; }
 
-  /// Recomputes the maintained indexes by a full scan — the flip-flop edge
-  /// records, the paralleled-net index, the decoded net sources and sinks
-  /// and the per-source net lists — and throws AuditError naming the first
-  /// divergence (DESIGN.md §11). Called at the end of run_until when
-  /// audit_enabled().
+  /// Recomputes the maintained indexes by a full scan — the per-site config
+  /// mirror, the flip-flop site index, the paralleled-net index, the
+  /// decoded net sources and sinks and the per-source net lists — and
+  /// throws AuditError naming the first divergence (DESIGN.md §11). Called
+  /// at the end of run_until when audit_enabled().
   void audit() const;
 
   // ---- FabricListener --------------------------------------------------------
@@ -149,20 +148,8 @@ class FabricSim final : public fabric::FabricListener {
     std::vector<Sink> sinks;
   };
 
-  /// What a clock edge needs of a flip-flop site, copied from its stored
-  /// config so an edge reads no Fabric state.
-  struct FfEdge {
-    std::int32_t site;
-    std::uint8_t domain;
-    bool uses_ce;
-    bool bypass;  ///< D is the BX pin, not the LUT
-    bool operator==(const FfEdge&) const = default;
-  };
-  static FfEdge ff_edge(int site, const fabric::LogicCellConfig& cfg) {
-    return FfEdge{site, cfg.clock_domain, cfg.uses_ce,
-                  cfg.d_src == fabric::DSrc::kBypass};
-  }
-
+  static constexpr std::uint8_t kCe = 1u << 4;  ///< CE bit of pin_val_
+  static constexpr std::uint8_t kBx = 1u << 5;  ///< BX bit of pin_val_
   static constexpr std::uint8_t kPadUndriven = 0;
   static constexpr std::uint8_t pad_state(bool value) {
     return value ? 2 : 1;
@@ -175,8 +162,6 @@ class FabricSim final : public fabric::FabricListener {
   };
 
   int site_index(ClbCoord clb, int cell) const;
-  ClbCoord site_clb(int site) const;
-  int site_cell(int site) const;
   int pad_slot(fabric::NodeId pad) const;
   const Clock* find_clock(std::uint8_t domain) const;
 
@@ -198,7 +183,6 @@ class FabricSim final : public fabric::FabricListener {
   bool source_pin_value(fabric::NodeId pin) const {
     return source_value(decode_source(pin));
   }
-  unsigned lut_input_vector(int site) const;
 
   fabric::Fabric* fabric_;
   const fabric::DelayModel* dm_;
@@ -207,21 +191,25 @@ class FabricSim final : public fabric::FabricListener {
   EventQueue<Event> queue_;
 
   // Dense per-site state (4 cells per CLB).
-  std::vector<std::array<bool, 6>> pin_val_;  // I0..I3, CE, BX
-  std::vector<bool> x_val_;
-  std::vector<bool> q_val_;
+  /// Input pin values, bit `port` per site: I0..I3 (the LUT input vector),
+  /// CE (bit 4), BX (bit 5).
+  std::vector<std::uint8_t> pin_val_;
+  std::vector<std::uint8_t> x_val_;
+  std::vector<std::uint8_t> q_val_;
   /// State of each pad, by pad_slot(): kPadUndriven or pad_state(value).
   /// An undriven pad reads 0, but driving it to 0 is still a change.
   std::vector<std::uint8_t> pad_val_;
 
   std::vector<NetCache> net_cache_;  // by net id
-  // Maintained indexes (DESIGN.md §11). `ff_edges_`: one record per site
-  // whose stored config is a used kFF cell, ascending site (the row ->
-  // column -> cell order a full-device scan visits them). `multi_src_nets_`:
-  // the ascending nets whose cached sources number two or more.
-  // `nets_of_out_`: the nets each cell output drives, by site * 2 +
-  // registered; `nets_of_pad_` the same for pads.
-  std::vector<FfEdge> ff_edges_;
+  // Maintained indexes (DESIGN.md §11). `cfg_`: a copy of every site's
+  // stored config, so no event handler reads Fabric state (§11.3).
+  // `ff_sites_`: the ascending sites whose stored config is a used kFF
+  // cell (the row -> column -> cell order a full-device scan visits them).
+  // `multi_src_nets_`: the ascending nets whose cached sources number two
+  // or more. `nets_of_out_`: the nets each cell output drives, by
+  // site * 2 + registered; `nets_of_pad_` the same for pads.
+  std::vector<fabric::LogicCellConfig> cfg_;
+  std::vector<std::int32_t> ff_sites_;
   std::vector<fabric::NetId> multi_src_nets_;
   std::vector<std::vector<fabric::NetId>> nets_of_out_;
   std::unordered_map<fabric::NodeId, std::vector<fabric::NetId>> nets_of_pad_;

@@ -15,26 +15,32 @@ std::string to_string(ViolationKind kind) {
 }
 
 void GlitchMonitor::watch(fabric::NodeId node, std::string label) {
-  watched_[node] = Watch{std::move(label), 0};
+  watched_[node] = Watch{std::move(label), window_, 0};
+  filter_ |= std::uint64_t{1} << (node & 63u);
 }
 
-void GlitchMonitor::unwatch(fabric::NodeId node) { watched_.erase(node); }
+void GlitchMonitor::unwatch(fabric::NodeId node) {
+  if (watched_.erase(node) == 0) return;
+  filter_ = 0;
+  for (const auto& [id, w] : watched_)
+    filter_ |= std::uint64_t{1} << (id & 63u);
+}
 
-void GlitchMonitor::record_transition(fabric::NodeId node, SimTime time) {
+void GlitchMonitor::record_filtered(fabric::NodeId node, SimTime time) {
   auto it = watched_.find(node);
   if (it == watched_.end()) return;
+  Watch& w = it->second;
   ++transitions_;
-  if (++it->second.transitions_this_window > 1) {
+  if (w.window != window_) {
+    w.window = window_;
+    w.transitions = 0;
+  }
+  if (++w.transitions > 1) {
     violations_.push_back(Violation{
         ViolationKind::kGlitch, time, node,
-        it->second.label + " transitioned " +
-            std::to_string(it->second.transitions_this_window) +
+        w.label + " transitioned " + std::to_string(w.transitions) +
             " times within one clock window"});
   }
-}
-
-void GlitchMonitor::on_clock_edge(SimTime) {
-  for (auto& [node, w] : watched_) w.transitions_this_window = 0;
 }
 
 int GlitchMonitor::count(ViolationKind kind) const {

@@ -51,9 +51,10 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
   const auto& geom = fabric_->geometry();
   const std::size_t tiles = static_cast<std::size_t>(geom.clb_count());
   const std::size_t sites = tiles * geom.cells_per_clb;
-  pin_val_.assign(sites, {false, false, false, false, false, false});
-  x_val_.assign(sites, false);
-  q_val_.assign(sites, false);
+  pin_val_.assign(sites, 0);
+  x_val_.assign(sites, 0);
+  q_val_.assign(sites, 0);
+  cfg_.resize(sites);
   pad_val_.assign(tiles * geom.pads_per_tile, kPadUndriven);
   nets_of_out_.resize(sites * 2);
 
@@ -65,9 +66,10 @@ FabricSim::FabricSim(fabric::Fabric& fabric, const fabric::DelayModel& dm)
       const ClbCoord clb{r, c};
       for (int k = 0; k < geom.cells_per_clb; ++k) {
         const auto& cfg = fabric_->cell(clb, k);
-        if (!cfg.used) continue;
         const int site = site_index(clb, k);
-        if (is_ff(cfg)) ff_edges_.push_back(ff_edge(site, cfg));
+        cfg_[static_cast<std::size_t>(site)] = cfg;
+        if (!cfg.used) continue;
+        if (is_ff(cfg)) ff_sites_.push_back(site);
         q_val_[static_cast<std::size_t>(site)] = cfg.init;
         schedule(now_ + dm_->lut_delay,
                  Event{EventKind::kEval, false, 0, site});
@@ -82,16 +84,6 @@ FabricSim::~FabricSim() { fabric_->remove_listener(this); }
 int FabricSim::site_index(ClbCoord clb, int cell) const {
   const auto& geom = fabric_->geometry();
   return (clb.row * geom.clb_cols + clb.col) * geom.cells_per_clb + cell;
-}
-
-ClbCoord FabricSim::site_clb(int site) const {
-  const auto& geom = fabric_->geometry();
-  const int clb_index = site / geom.cells_per_clb;
-  return ClbCoord{clb_index / geom.clb_cols, clb_index % geom.clb_cols};
-}
-
-int FabricSim::site_cell(int site) const {
-  return site % fabric_->geometry().cells_per_clb;
 }
 
 int FabricSim::pad_slot(NodeId pad) const {
@@ -179,26 +171,16 @@ void FabricSim::run_cycles(int n, std::uint8_t domain) {
 }
 
 bool FabricSim::state_of(ClbCoord clb, int cell) const {
-  return q_val_[static_cast<std::size_t>(
-      (clb.row * fabric_->geometry().clb_cols + clb.col) *
-          fabric_->geometry().cells_per_clb +
-      cell)];
+  return q_val_[static_cast<std::size_t>(site_index(clb, cell))];
 }
 
 bool FabricSim::comb_of(ClbCoord clb, int cell) const {
-  return x_val_[static_cast<std::size_t>(
-      (clb.row * fabric_->geometry().clb_cols + clb.col) *
-          fabric_->geometry().cells_per_clb +
-      cell)];
+  return x_val_[static_cast<std::size_t>(site_index(clb, cell))];
 }
 
 bool FabricSim::pin_of(ClbCoord clb, int cell, fabric::CellPort port) const {
-  const int site =
-      (clb.row * fabric_->geometry().clb_cols + clb.col) *
-          fabric_->geometry().cells_per_clb +
-      cell;
-  return pin_val_[static_cast<std::size_t>(site)]
-                 [static_cast<std::size_t>(port)];
+  return (pin_val_[static_cast<std::size_t>(site_index(clb, cell))] >>
+          static_cast<unsigned>(port) & 1u) != 0;
 }
 
 bool FabricSim::net_value(NetId net) const {
@@ -223,13 +205,6 @@ bool FabricSim::source_value(const Source& src) const {
   const auto slot = static_cast<std::size_t>(src.slot);
   if (src.pad) return pad_val_[slot] == pad_state(true);
   return (slot & 1) != 0 ? q_val_[slot / 2] : x_val_[slot / 2];
-}
-
-unsigned FabricSim::lut_input_vector(int site) const {
-  const auto& pins = pin_val_[static_cast<std::size_t>(site)];
-  unsigned vec = 0;
-  for (int i = 0; i < 4; ++i) vec |= (pins[static_cast<std::size_t>(i)] ? 1u : 0u) << i;
-  return vec;
 }
 
 void FabricSim::schedule_sink(const Sink& sink, bool value, SimTime t) {
@@ -267,12 +242,13 @@ void FabricSim::do_pad_set(int slot, NodeId pad, bool value, SimTime t) {
 
 void FabricSim::do_pin_set(int site, int port, NodeId node, bool value,
                            SimTime t) {
-  auto& pins = pin_val_[static_cast<std::size_t>(site)];
-  if (pins[static_cast<std::size_t>(port)] == value) return;
-  pins[static_cast<std::size_t>(port)] = value;
+  std::uint8_t& pins = pin_val_[static_cast<std::size_t>(site)];
+  const auto bit = static_cast<std::uint8_t>(1u << port);
+  if (((pins & bit) != 0) == value) return;
+  pins ^= bit;
   monitor_.record_transition(node, t);
 
-  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+  const auto& cfg = cfg_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
   if (port < 4) {
     schedule(t + dm_->lut_delay, Event{EventKind::kEval, false, 0, site});
@@ -280,14 +256,14 @@ void FabricSim::do_pin_set(int site, int port, NodeId node, bool value,
     // CE pin: latch transparency opening captures the current D value.
     if (cfg.reg == fabric::RegMode::kLatch && value) {
       const bool d = cfg.d_src == fabric::DSrc::kBypass
-                         ? pins[5]
+                         ? (pins & kBx) != 0
                          : x_val_[static_cast<std::size_t>(site)];
       schedule(t + dm_->latch_d_to_q, Event{EventKind::kQSet, d, 0, site});
     }
   } else {
     // BX bypass pin: transparent latches in bypass mode follow it.
     if (cfg.reg == fabric::RegMode::kLatch &&
-        cfg.d_src == fabric::DSrc::kBypass && pins[4]) {
+        cfg.d_src == fabric::DSrc::kBypass && (pins & kCe) != 0) {
       schedule(t + dm_->latch_d_to_q,
                Event{EventKind::kQSet, value, 0, site});
     }
@@ -295,23 +271,23 @@ void FabricSim::do_pin_set(int site, int port, NodeId node, bool value,
 }
 
 void FabricSim::do_eval(int site, SimTime t) {
-  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
+  const auto& cfg = cfg_[static_cast<std::size_t>(site)];
   if (!cfg.used) return;
-  const bool x = cfg.eval(lut_input_vector(site));
+  // eval() reads the low four bits: I0..I3.
+  const bool x = cfg.eval(pin_val_[static_cast<std::size_t>(site)]);
   if (x == x_val_[static_cast<std::size_t>(site)]) return;
   x_val_[static_cast<std::size_t>(site)] = x;
   propagate(nets_of_out_[static_cast<std::size_t>(site) * 2], x, t);
   if (cfg.reg == fabric::RegMode::kLatch &&
       cfg.d_src == fabric::DSrc::kLut &&
-      pin_val_[static_cast<std::size_t>(site)][4]) {
+      (pin_val_[static_cast<std::size_t>(site)] & kCe) != 0) {
     schedule(t + dm_->latch_d_to_q, Event{EventKind::kQSet, x, 0, site});
   }
 }
 
 void FabricSim::do_q_set(int site, bool value, SimTime t) {
   if (q_val_[static_cast<std::size_t>(site)] == value) return;
-  const auto& cfg = fabric_->cell(site_clb(site), site_cell(site));
-  if (!cfg.used) return;
+  if (!cfg_[static_cast<std::size_t>(site)].used) return;
   q_val_[static_cast<std::size_t>(site)] = value;
   propagate(nets_of_out_[static_cast<std::size_t>(site) * 2 + 1], value, t);
 }
@@ -342,13 +318,16 @@ void FabricSim::do_clock_edge(Clock& clock, int index, SimTime t) {
     // Ascending site order is the row -> column -> cell order of a full
     // device scan, so captures are queued in the same order.
     const std::uint8_t domain = clock.spec.domain;
-    for (const FfEdge& ff : ff_edges_) {
-      if (ff.domain != domain) continue;
-      const auto site = static_cast<std::size_t>(ff.site);
-      if (ff.uses_ce && !pin_val_[site][4]) continue;
-      const bool d = ff.bypass ? pin_val_[site][5] : x_val_[site];
+    for (const std::int32_t ff : ff_sites_) {
+      const auto site = static_cast<std::size_t>(ff);
+      const fabric::LogicCellConfig& cfg = cfg_[site];
+      if (cfg.clock_domain != domain) continue;
+      if (cfg.uses_ce && (pin_val_[site] & kCe) == 0) continue;
+      const bool d =
+          cfg.d_src == fabric::DSrc::kBypass ? (pin_val_[site] & kBx) != 0
+                                             : x_val_[site] != 0;
       if (d != q_val_[site]) {
-        schedule(t + dm_->clk_to_q, Event{EventKind::kQSet, d, 0, ff.site});
+        schedule(t + dm_->clk_to_q, Event{EventKind::kQSet, d, 0, ff});
       }
     }
   }
@@ -444,19 +423,8 @@ void FabricSim::on_cell_changed(ClbCoord clb, int cell,
                                 const fabric::LogicCellConfig& before,
                                 const fabric::LogicCellConfig& after) {
   const int site = site_index(clb, cell);
-  const auto it = std::lower_bound(
-      ff_edges_.begin(), ff_edges_.end(), site,
-      [](const FfEdge& ff, int s) { return ff.site < s; });
-  const bool present = it != ff_edges_.end() && it->site == site;
-  if (is_ff(after)) {
-    if (present) {
-      *it = ff_edge(site, after);
-    } else {
-      ff_edges_.insert(it, ff_edge(site, after));
-    }
-  } else if (present) {
-    ff_edges_.erase(it);
-  }
+  cfg_[static_cast<std::size_t>(site)] = after;
+  set_member(ff_sites_, site, is_ff(after));
   if (!before.used && after.used) {
     q_val_[static_cast<std::size_t>(site)] = after.init;
     // Refresh inputs: routed pins read their net's current value; unrouted
@@ -512,26 +480,23 @@ void FabricSim::audit() const {
   const auto& geom = fabric_->geometry();
   const auto& graph = fabric_->graph();
 
-  std::vector<FfEdge> ff;
+  std::vector<std::int32_t> ff;
   for (int r = 0; r < geom.clb_rows; ++r) {
     for (int c = 0; c < geom.clb_cols; ++c) {
       for (int k = 0; k < geom.cells_per_clb; ++k) {
         const auto& cfg = fabric_->cell(ClbCoord{r, c}, k);
-        if (is_ff(cfg))
-          ff.push_back(ff_edge(site_index(ClbCoord{r, c}, k), cfg));
+        const int site = site_index(ClbCoord{r, c}, k);
+        RELOGIC_AUDIT_CHECK(cfg_[static_cast<std::size_t>(site)] == cfg,
+                            kWhere,
+                            "config mirror: site " + std::to_string(site) +
+                                " stale");
+        if (is_ff(cfg)) ff.push_back(site);
       }
     }
   }
-  const auto [k, f] =
-      std::mismatch(ff_edges_.begin(), ff_edges_.end(), ff.begin(), ff.end());
-  if (k != ff_edges_.end() || f != ff.end()) {
-    const int site = k == ff_edges_.end() ? f->site
-                     : f == ff.end()      ? k->site
-                                          : std::min(k->site, f->site);
-    RELOGIC_AUDIT_CHECK(false, kWhere,
-                        "flip-flop edge record: site " + std::to_string(site) +
-                            " missing or stale");
-  }
+  const std::string ff_diff = index_divergence(ff_sites_, ff);
+  RELOGIC_AUDIT_CHECK(ff_diff.empty(), kWhere,
+                      "flip-flop site index: site " + ff_diff);
 
   std::vector<NetId> multi;
   std::vector<std::vector<NetId>> out_nets(nets_of_out_.size());

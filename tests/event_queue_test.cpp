@@ -8,6 +8,7 @@
 // and the queue run dry and refilled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -152,6 +153,50 @@ TEST(EventQueue, PopsInTheTimeThenPushOrderOfASequencedPriorityQueue) {
     EXPECT_GT(cov.refills, 10) << "seed " << seed;
     EXPECT_GT(cov.between_buckets, 10) << "seed " << seed;
   }
+}
+
+TEST(EventQueue, LongRunReusesFreedNodesAcrossManyTimes) {
+  // A simulator-like steady state: a few dozen items pending over a spread
+  // of times, drained one horizon at a time and refilled as they pop. The
+  // pushes outnumber the most ever pending many times over, so most items
+  // sit in nodes freed by items of earlier times, and most pushes open a
+  // fresh bucket.
+  Rng rng(17);
+  Coverage cov;
+  Pair q(cov);
+  SimTime now = SimTime::zero();
+  std::int64_t pushes = 0;
+  std::size_t pending = 0;
+  std::size_t max_pending = 0;
+  auto push = [&](SimTime t, bool draining) {
+    q.push(t, draining);
+    ++pushes;
+    max_pending = std::max(max_pending, ++pending);
+  };
+  for (int round = 0; round < 20000; ++round) {
+    while (pending < 24) {
+      const SimTime d = rng.next_bool(0.5)
+                            ? random_delay(rng)
+                            : SimTime::ps(rng.next_int(1, 3000));
+      push(now + d, false);
+    }
+    const SimTime horizon = now + SimTime::ps(rng.next_int(0, 1500));
+    while (!q.empty() && q.next_time() <= horizon) {
+      now = q.pop_one();
+      --pending;
+      if (rng.next_bool(0.5)) {
+        const SimTime d = random_delay(rng);
+        push(now + d, d == SimTime::zero());
+      }
+    }
+    now = horizon;
+    if (::testing::Test::HasFailure()) FAIL() << "round " << round;
+  }
+  while (!q.empty()) q.pop_one();
+
+  EXPECT_GT(pushes, 1000 * static_cast<std::int64_t>(max_pending));
+  EXPECT_LT(cov.ties, pushes / 2);  // most pushes open a bucket
+  EXPECT_GT(cov.pushes_at_drain, 1000);
 }
 
 TEST(EventQueue, ZeroDelayPushJoinsTheDrainingTimeAfterItsPendingItems) {

@@ -2,6 +2,12 @@
 // the instruments every experiment relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "relogic/common/rng.hpp"
 #include "relogic/netlist/benchmarks.hpp"
 #include "relogic/place/implement.hpp"
 #include "relogic/sim/harness.hpp"
@@ -116,6 +122,182 @@ TEST(Monitor, UnwatchStopsRecording) {
   m.record_transition(7, SimTime::ns(3));
   EXPECT_TRUE(m.clean());
   EXPECT_EQ(m.transitions_observed(), 1);
+}
+
+// The monitor as it was before its filter and window counter: a hash
+// lookup on every transition and a walk over every watch on every edge.
+// The monitor must record exactly the violations and transition count
+// this one does.
+class HashOnlyMonitor {
+ public:
+  void watch(fabric::NodeId node, std::string label) {
+    watched_[node] = Watch{std::move(label), 0};
+  }
+  void unwatch(fabric::NodeId node) { watched_.erase(node); }
+  void record_transition(fabric::NodeId node, SimTime time) {
+    auto it = watched_.find(node);
+    if (it == watched_.end()) return;
+    ++transitions_;
+    if (++it->second.count > 1) {
+      violations_.push_back(Violation{
+          ViolationKind::kGlitch, time, node,
+          it->second.label + " transitioned " +
+              std::to_string(it->second.count) +
+              " times within one clock window"});
+    }
+  }
+  void on_clock_edge() {
+    for (auto& [node, w] : watched_) w.count = 0;
+  }
+  const std::vector<Violation>& violations() const { return violations_; }
+  std::int64_t transitions_observed() const { return transitions_; }
+
+ private:
+  struct Watch {
+    std::string label;
+    int count;
+  };
+  std::unordered_map<fabric::NodeId, Watch> watched_;
+  std::vector<Violation> violations_;
+  std::int64_t transitions_ = 0;
+};
+
+/// Drives a GlitchMonitor and the hash-only one with the same calls.
+struct MonitorPair {
+  GlitchMonitor m;
+  HashOnlyMonitor ref;
+  SimTime now = SimTime::zero();
+
+  void watch(fabric::NodeId n) {
+    m.watch(n, "n" + std::to_string(n));
+    ref.watch(n, "n" + std::to_string(n));
+  }
+  void unwatch(fabric::NodeId n) {
+    m.unwatch(n);
+    ref.unwatch(n);
+  }
+  void transition(fabric::NodeId n) {
+    now += SimTime::ns(1);
+    m.record_transition(n, now);
+    ref.record_transition(n, now);
+  }
+  void edge() {
+    now += SimTime::ns(1);
+    m.on_clock_edge(now);
+    ref.on_clock_edge();
+  }
+  /// Checks the two agree; returns the number of violations.
+  std::size_t expect_same() const {
+    EXPECT_EQ(m.transitions_observed(), ref.transitions_observed());
+    const auto& got = m.violations();
+    const auto& want = ref.violations();
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].kind, want[i].kind) << i;
+      EXPECT_EQ(got[i].time, want[i].time) << i;
+      EXPECT_EQ(got[i].node, want[i].node) << i;
+      EXPECT_EQ(got[i].description, want[i].description) << i;
+    }
+    return want.size();
+  }
+};
+
+TEST(Monitor, WatchAddedMidWindowCountsFromItsWatch) {
+  MonitorPair p;
+  p.watch(5);
+  p.transition(5);
+  p.transition(9);  // not watched yet
+  p.watch(9);
+  p.transition(9);
+  p.transition(9);  // second since the watch: a glitch
+  p.watch(5);       // re-watching restarts the count mid-window
+  p.transition(5);
+  p.edge();
+  p.edge();
+  p.watch(12);  // in a window no other watch has counted in
+  p.transition(12);
+  p.transition(5);
+  p.transition(5);
+  EXPECT_EQ(p.expect_same(), 2u);
+  EXPECT_EQ(p.m.transitions_observed(), 7);
+}
+
+TEST(Monitor, UnwatchThenRewatchStartsAFreshCount) {
+  MonitorPair p;
+  p.watch(3);
+  p.transition(3);
+  p.unwatch(3);
+  p.transition(3);  // ignored
+  p.watch(3);       // same window
+  p.transition(3);
+  p.transition(3);  // second since the re-watch
+  p.edge();
+  p.transition(3);
+  p.unwatch(3);
+  p.edge();
+  p.edge();
+  p.watch(3);  // windows later
+  p.transition(3);
+  p.unwatch(3);
+  p.unwatch(3);  // unwatching an unwatched node is harmless
+  p.transition(3);
+  EXPECT_EQ(p.expect_same(), 1u);
+  EXPECT_EQ(p.m.transitions_observed(), 5);
+}
+
+TEST(Monitor, WatchedIdsEqualModulo64KeepSeparateCounts) {
+  MonitorPair p;
+  p.watch(3);
+  p.watch(67);
+  p.watch(131);
+  p.transition(3);
+  p.transition(67);
+  p.transition(131);
+  p.edge();
+  p.unwatch(3);  // the shared filter bit must stay for 67 and 131
+  p.transition(67);
+  p.transition(67);
+  p.transition(3);
+  p.transition(131);
+  EXPECT_EQ(p.expect_same(), 1u);
+  EXPECT_FALSE(p.m.watching(3));
+  EXPECT_TRUE(p.m.watching(67));
+}
+
+TEST(Monitor, UnwatchedNodeCollidingWithAWatchedOneIsIgnored) {
+  MonitorPair p;
+  p.watch(10);
+  for (int i = 0; i < 5; ++i) p.transition(74);  // 74 = 10 + 64
+  p.transition(10);
+  p.edge();
+  p.transition(10 + 64 * 1000);
+  p.transition(10);
+  EXPECT_EQ(p.expect_same(), 0u);
+  EXPECT_EQ(p.m.transitions_observed(), 2);
+}
+
+TEST(Monitor, RandomStreamMatchesTheHashOnlyMonitor) {
+  Rng rng(99);
+  MonitorPair p;
+  for (int op = 0; op < 20000; ++op) {
+    // Ids from a small range with many equal modulo 64.
+    const auto n = static_cast<fabric::NodeId>(rng.next_below(128));
+    switch (rng.next_int(0, 19)) {
+      case 0:
+        p.watch(n);
+        break;
+      case 1:
+        p.unwatch(n);
+        break;
+      case 2:
+        p.edge();
+        break;
+      default:
+        p.transition(n);
+        break;
+    }
+  }
+  EXPECT_GT(p.expect_same(), 100u);
 }
 
 TEST(Monitor, ViolationBookkeeping) {

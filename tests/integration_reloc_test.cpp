@@ -137,6 +137,53 @@ TEST(RelocationTest, CombinationalCellRelocatesTransparently) {
   EXPECT_TRUE(rig.sim.monitor().clean());
 }
 
+// The Fig. 4 write-granularity sweep's column x ICAP case: five
+// combinational cells of b01 on an XCV200 move 14 rows down and 18-19
+// columns right. The fast port ends the last move 85 ns into a cycle, and
+// the input paths through the replica in the second destination column
+// need over 20 ns to settle, so inputs driven at once (15 ns before the
+// edge) were captured stale. The harness must wait for the stimulus phase.
+TEST(RelocationTest, StimulusAfterAFastDistantMoveWaitsForItsPhase) {
+  Fabric fab(DeviceGeometry::xcv200());
+  const fabric::DelayModel dm;
+  config::IcapPort port;
+  config::ConfigController controller(fab, port,
+                                       config::WriteGranularity::kColumn);
+  sim::FabricSim sim(fab, dm);
+  sim.add_clock(sim::ClockSpec{});
+  Implementer implementer(fab, dm);
+  place::Router router(fab, dm);
+  reloc::RelocationEngine engine(controller, router, &sim);
+
+  const auto nl = netlist::bench::b01(ClockingStyle::kGatedClock);
+  const auto mapped = netlist::map_netlist(nl);
+  ImplementOptions opts;
+  opts.region = place::suggest_region(mapped, ClbCoord{2, 2}, fab.geometry());
+  auto impl = implementer.implement(mapped, opts);
+  sim::CircuitHarness harness(sim, nl, impl);
+  harness.watch_registered_outputs();
+  Rng rng(0xF16'4 + static_cast<unsigned>(impl.cell_count()));
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(harness.step_random(rng).ok());
+
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(impl.mapped.cells[static_cast<std::size_t>(i)].reg,
+              fabric::RegMode::kNone);
+    const CellSite dest{
+        ClbCoord{impl.region.row + 14, impl.region.col + 18 + (i / 4)},
+        i % 4};
+    EXPECT_TRUE(engine.relocate_cell(impl, i, dest).state_verified);
+  }
+  const SimTime to_edge =
+      sim.next_edge(0, sim.now() + SimTime::ps(1)) - sim.now();
+  ASSERT_LT(to_edge, sim.clock_period(0) / 2)
+      << "the moves no longer end late in a cycle; the case lost its point";
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(harness.step_random(rng).ok())
+        << harness.mismatch_log().back();
+  }
+  EXPECT_TRUE(sim.monitor().clean());
+}
+
 TEST(RelocationTest, FreeRunningFFPreservesState) {
   Rig rig;
   const auto nl = netlist::bench::counter(5, ClockingStyle::kFreeRunning);

@@ -1,16 +1,18 @@
 // FabricSim's maintained indexes (DESIGN.md §11).
 //
 // The simulator keeps flat indexes so a clock edge costs what the live
-// circuit costs, not what the device costs: one edge record per
-// edge-triggered flip-flop, the nets with paralleled sources, each net's
-// decoded sources and sinks, and the nets each cell output drives. Two
-// kinds of test pin them down:
+// circuit costs, not what the device costs: a copy of every site's stored
+// config, the edge-triggered flip-flop sites, the nets with paralleled
+// sources, each net's decoded sources and sinks, and the nets each cell
+// output drives. Two kinds of test pin them down:
 //
 //  * a seeded random stream of every mutation that can reach the indexes
 //    (cell writes, in-place flip-flop edits, fault injection,
 //    capture/restore, net source edits, clocking with a halted domain),
-//    with FabricSim::audit() — a from-scratch recompute of the indexes —
-//    required to pass after every op;
+//    with FabricSim::audit() — a from-scratch recompute of the indexes,
+//    the per-site config mirror included — required to pass after every
+//    op, and a second simulator built mid-stream required to adopt the
+//    fabric as it stands;
 //  * the simulated outcome of a live gated-clock relocation, pinned to the
 //    values the full-device scan produced. The event count and the final
 //    flip-flop states only stay equal if every clock edge schedules the
@@ -106,6 +108,8 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
   bool shrinking = false;
   std::optional<Fabric::State> snapshot;
   int ff_writes = 0;
+  int mirror_only_writes = 0;  ///< changes no flip-flop record can see
+  int adoptions = 0;
   int ff_edits = 0;
   int faults = 0;
   int restores = 0;
@@ -117,9 +121,16 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
       case 0:
       case 1: {
         const auto cfg = random_cell(rng);
+        const int cell = rng.next_int(0, geom.cells_per_clb - 1);
+        const ClbCoord clb = random_clb();
+        const auto is_ff = [](const fabric::LogicCellConfig& c) {
+          return c.used && c.reg == fabric::RegMode::kFF;
+        };
         ff_writes += cfg.reg == fabric::RegMode::kFF ? 1 : 0;
-        fab.set_cell_config(random_clb(),
-                            rng.next_int(0, geom.cells_per_clb - 1), cfg);
+        mirror_only_writes +=
+            fab.cell(clb, cell) != cfg && !is_ff(fab.cell(clb, cell)) &&
+            !is_ff(cfg);
+        fab.set_cell_config(clb, cell, cfg);
         break;
       }
       case 2: {
@@ -180,7 +191,7 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
         break;
       case 7: {
         // A flip-flop stays one while its clock domain, CE use and D source
-        // change in place: its edge record must follow.
+        // change in place: its config mirror must follow.
         const ClbCoord clb = random_clb();
         const int cell = rng.next_int(0, geom.cells_per_clb - 1);
         auto cfg = fab.cell(clb, cell);
@@ -205,10 +216,18 @@ TEST_P(SimIndexStream, AuditHoldsAfterEveryOp) {
         break;
     }
     ASSERT_NO_THROW(sim.audit()) << "op " << op;
+    if (op % 250 == 249) {
+      // A simulator attached now must adopt every stored config.
+      const sim::FabricSim late(fab, dm);
+      ASSERT_NO_THROW(late.audit()) << "adoption after op " << op;
+      ++adoptions;
+    }
   }
 
   // The stream reached every kind of mutation it is meant to cover.
   EXPECT_GT(ff_writes, 0);
+  EXPECT_GT(mirror_only_writes, 0);
+  EXPECT_EQ(adoptions, 8);
   EXPECT_GT(ff_edits, 0);
   EXPECT_GT(faults, 0);
   EXPECT_GT(restores, 0);
